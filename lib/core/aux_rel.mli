@@ -19,16 +19,12 @@ val column_span : Gom.Path.t -> int -> int * int
     inside the access support relation [E] (consecutive auxiliary
     relations share one column). *)
 
-val build_one_view : Gom.Store_view.t -> Gom.Path.t -> int -> Relation.t
-(** [build_one_view view p j] materialises [E_j] from the object base
-    behind [view] (deep extents: subtype instances participate).  Over a
-    frozen view this reads the published epoch, not the live base. *)
-
 val build_view : Gom.Store_view.t -> Gom.Path.t -> Relation.t list
 (** All of [E_0; ...; E_{n-1}]. *)
 
 val build_one : Gom.Store.t -> Gom.Path.t -> int -> Relation.t
-(** {!build_one_view} over the live store. *)
+(** [build_one store p j] materialises [E_j] from the object base (deep
+    extents: subtype instances participate). *)
 
 val build : Gom.Store.t -> Gom.Path.t -> Relation.t list
 (** {!build_view} over the live store. *)

@@ -109,74 +109,127 @@ let backward_scan env path ~i ~j ~target =
 (* Index-supported evaluation                                          *)
 (* ------------------------------------------------------------------ *)
 
-let distinct_at rows col_in_part =
+type dir = Fwd | Bwd
+
+type step =
+  | Lookup of { part : int; enter : int }
+  | Scan of { part : int; enter : int }
+
+(* Index of the partition whose clustering end matches [col] if any,
+   else the one containing it: where a backward walk starts. *)
+let part_ending index col =
+  let rec go idx =
+    if idx >= Asr.partition_count index then Asr.partition_index_of_column index col
+    else if snd (Asr.partition_bounds index idx) = col then idx
+    else go (idx + 1)
+  in
+  go 0
+
+(* The column a walk enters the index at and the one it heads for. *)
+let columns index dir ~i ~j =
+  let path = Asr.path index in
+  check_range path ~i ~j;
+  let ci = Gom.Path.column_of_object_position path i in
+  let cj = Gom.Path.column_of_object_position path j in
+  match dir with Fwd -> (ci, cj) | Bwd -> (cj, ci)
+
+(* The column a walk leaves the partition [lo, hi] at. *)
+let exit_column dir (lo, hi) ~goal = match dir with Fwd -> min hi goal | Bwd -> max lo goal
+
+let steps index dir ~i ~j =
+  let start, goal = columns index dir ~i ~j in
+  let rec go pidx cur acc =
+    let ((lo, hi) as bounds) = Asr.partition_bounds index pidx in
+    let interior = match dir with Fwd -> cur > lo | Bwd -> cur < hi in
+    let s =
+      if interior then Scan { part = pidx; enter = cur }
+      else Lookup { part = pidx; enter = cur }
+    in
+    let stop = exit_column dir bounds ~goal in
+    if stop = goal then List.rev (s :: acc)
+    else go (match dir with Fwd -> pidx + 1 | Bwd -> pidx - 1) stop (s :: acc)
+  in
+  let first =
+    match dir with
+    | Fwd -> Asr.partition_index_of_column index start
+    | Bwd -> part_ending index start
+  in
+  go first start []
+
+let distinct_at rows col =
   rows
   |> List.filter_map (fun (row : Relation.Tuple.t) ->
-         let v = row.(col_in_part) in
+         let v = row.(col) in
          if Gom.Value.is_null v then None else Some v)
   |> sort_values
 
-let forward_supported env index ~i ~j oid =
-  let stats = env.stats in
-  let path = Asr.path index in
-  check_range path ~i ~j;
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let rec go pidx cur frontier =
-    checkpoint env;
-    if frontier = [] then []
+let is_empty = function [] -> true | _ :: _ -> false
+
+(* The rows a key lookup fetched for [key]: [fetched] holds one
+   (key, rows) pair per distinct key, in key order. *)
+let rows_of fetched key =
+  let rec search lo hi =
+    if lo >= hi then []
     else
-      let lo, hi = Asr.partition_bounds index pidx in
-      let rows =
-        if cur > lo then
-          (* Entered the partition away from its clustering column:
-             every page must be inspected. *)
-          Asr.scan_partition ~stats index pidx
-          |> List.filter (fun (row : Relation.Tuple.t) ->
-                 List.exists (Gom.Value.equal row.(cur - lo)) frontier)
-        else List.concat_map (fun key -> Asr.lookup_fwd ~stats index pidx key) frontier
-      in
-      let stop = min hi cj in
-      let frontier' = distinct_at rows (stop - lo) in
-      if stop >= cj then frontier' else go (pidx + 1) stop frontier'
+      let mid = (lo + hi) / 2 in
+      let k, rows = fetched.(mid) in
+      let c = Gom.Value.compare key k in
+      if c = 0 then rows else if c < 0 then search lo mid else search (mid + 1) hi
   in
-  let pidx = Asr.partition_index_of_column index ci in
-  go pidx ci [ Gom.Value.Ref oid ]
+  search 0 (Array.length fetched)
+
+(* One partition visit for every probe at once: an interior entry scans
+   the partition once and filters it per probe, a clustering-boundary
+   entry is one sorted multi-key lookup whose probes share descents and
+   leaf pages. *)
+let visit env index dir ~goal frontiers step =
+  let stats = env.stats in
+  let part, enter =
+    match step with Lookup { part; enter } | Scan { part; enter } -> (part, enter)
+  in
+  let ((lo, _) as bounds) = Asr.partition_bounds index part in
+  let select =
+    match step with
+    | Scan _ ->
+      let rows = Asr.scan_partition ~stats index part in
+      fun frontier ->
+        List.filter
+          (fun (row : Relation.Tuple.t) ->
+            List.exists (Gom.Value.equal row.(enter - lo)) frontier)
+          rows
+    | Lookup _ ->
+      let lookup_many =
+        match dir with Fwd -> Asr.lookup_fwd_many | Bwd -> Asr.lookup_bwd_many
+      in
+      let keys = List.concat (Array.to_list frontiers) in
+      let fetched = Array.of_list (lookup_many ~stats index part keys) in
+      fun frontier -> List.concat_map (rows_of fetched) frontier
+  in
+  let out = exit_column dir bounds ~goal - lo in
+  Array.map (fun f -> if is_empty f then [] else distinct_at (select f) out) frontiers
+
+let stitch env index dir ~i ~j steps frontiers =
+  let _, goal = columns index dir ~i ~j in
+  let rec go frontiers = function
+    | [] -> frontiers
+    | step :: rest ->
+      (* Cancellation checkpoint between partition rounds: a whole
+         round's descents and merges either happen or don't, so every
+         frontier is still exact when Deadline.Expired propagates. *)
+      checkpoint env;
+      if Array.for_all is_empty frontiers then frontiers
+      else go (visit env index dir ~goal frontiers step) rest
+  in
+  go frontiers steps
+
+let supported env index dir ~i ~j probe =
+  (stitch env index dir ~i ~j (steps index dir ~i ~j) [| [ probe ] |]).(0)
+
+let forward_supported env index ~i ~j oid =
+  supported env index Fwd ~i ~j (Gom.Value.Ref oid)
 
 let backward_supported env index ~i ~j ~target =
-  let stats = env.stats in
-  let path = Asr.path index in
-  check_range path ~i ~j;
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  (* Index of the partition whose clustering end matches [col] if any,
-     else the one containing it. *)
-  let part_ending col =
-    let k = ref (-1) in
-    for idx = 0 to Asr.partition_count index - 1 do
-      let _, hi = Asr.partition_bounds index idx in
-      if !k < 0 && hi = col then k := idx
-    done;
-    if !k >= 0 then !k else Asr.partition_index_of_column index col
-  in
-  let rec go pidx cur frontier =
-    checkpoint env;
-    if frontier = [] then []
-    else
-      let lo, hi = Asr.partition_bounds index pidx in
-      let rows =
-        if cur < hi then
-          Asr.scan_partition ~stats index pidx
-          |> List.filter (fun (row : Relation.Tuple.t) ->
-                 List.exists (Gom.Value.equal row.(cur - lo)) frontier)
-        else List.concat_map (fun key -> Asr.lookup_bwd ~stats index pidx key) frontier
-      in
-      let stop = max lo ci in
-      let frontier' = distinct_at rows (stop - lo) in
-      if stop <= ci then frontier' else go (pidx - 1) stop frontier'
-  in
-  let pidx = part_ending cj in
-  go pidx cj [ target ] |> List.map Gom.Value.oid_exn |> sort_oids
+  List.map Gom.Value.oid_exn (supported env index Bwd ~i ~j target)
 
 let forward ?index env path ~i ~j oid =
   match index with

@@ -91,11 +91,49 @@ val backward_scan :
 (** Exhaustive evaluation of [Q^(i,j)(bw)]: scans the [ti] extent and
     tests reachability of [target] at position [j]. *)
 
+(** {2 Index-supported evaluation}
+
+    One walker serves every index-supported query, per-probe and
+    batched alike: a single probe is a batch of one. *)
+
+type dir = Fwd | Bwd
+
+(** One partition visit while stitching a decomposed extension back
+    together.  [enter] is the column at which the walk enters the
+    partition: at a clustering boundary the visit is a key lookup, at
+    an interior column every leaf page must be scanned (section 5.6). *)
+type step =
+  | Lookup of { part : int; enter : int }
+  | Scan of { part : int; enter : int }
+
+val steps : Asr.t -> dir -> i:int -> j:int -> step list
+(** The partition visits of a [Q^(i,j)] walk in direction [dir]: the
+    step list both {!stitch} and the engine's planner use.
+    @raise Invalid_argument unless [0 <= i < j <= n]. *)
+
+val stitch :
+  env ->
+  Asr.t ->
+  dir ->
+  i:int ->
+  j:int ->
+  step list ->
+  Gom.Value.t list array ->
+  Gom.Value.t list array
+(** [stitch env index dir ~i ~j steps frontiers] walks [steps] (as
+    computed by {!steps}) once for every probe: [frontiers.(k)] holds
+    probe [k]'s start values (its source reference forward, its target
+    backward) and the result holds its distinct, sorted answers.  An
+    interior entry scans its partition once for the whole batch; a
+    clustering-boundary entry is one {!Asr.lookup_fwd_many} (or
+    [bwd]) call whose sorted keys share descents and leaf pages.  The
+    caller must ensure {!Asr.supports}. *)
+
 val forward_supported :
   env -> Asr.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
-(** Index evaluation of [Q^(i,j)(fw)].  The caller must ensure
-    {!Asr.supports}; results on supported ranges agree with
-    {!forward_scan} (property-tested). *)
+(** Index evaluation of [Q^(i,j)(fw)], a {!stitch} of one probe.  The
+    caller must ensure {!Asr.supports}; results on supported ranges
+    agree with {!forward_scan} (property-tested). *)
 
 val backward_supported :
   env -> Asr.t -> i:int -> j:int -> target:Gom.Value.t -> Gom.Oid.t list

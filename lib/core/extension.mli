@@ -20,30 +20,15 @@ val of_name : string -> kind option
 
 val join_kind : kind -> Relation.join_kind
 
-val compute_view : Gom.Store_view.t -> Gom.Path.t -> kind -> Relation.t
-(** Materialise the extension from the object base behind the view,
-    composing the auxiliary relations with the corresponding join
-    chain.  Over a frozen view this is ground truth {e for that epoch}
-    (the scrubber audits published snapshots this way). *)
-
 val compute : Gom.Store.t -> Gom.Path.t -> kind -> Relation.t
-(** {!compute_view} over the live store. *)
+(** Materialise the extension from the object base, composing the
+    auxiliary relations with the corresponding join chain. *)
 
 val supports : kind -> n:int -> i:int -> j:int -> bool
 (** Applicability of the extension to a query over sub-path
     [(i, j)] of a length-[n] path (paper, section 5.3 / equation 35):
     canonical only for [(0, n)], left-complete for [i = 0],
     right-complete for [j = n], full always. *)
-
-val origin_complete : Gom.Path.t -> Relation.Tuple.t -> bool
-(** True iff the tuple's path originates in [t0] (column [S0] is
-    defined). *)
-
-val terminal_complete : Gom.Path.t -> Relation.Tuple.t -> bool
-(** True iff the last auxiliary relation [E_{n-1}] contributed to the
-    tuple: either [Sn]'s column is defined, or — when [An] is set-valued
-    — the final set-OID column is defined with the empty-set NULL
-    marker. *)
 
 val member : kind -> Gom.Path.t -> Relation.Tuple.t -> bool
 (** Whether a {e maximal partial-path} tuple belongs to the extension:

@@ -71,9 +71,6 @@ val flush_all : t -> int
 (** Drain every registered ASR's buffers into its partition trees
     ({!Asr.flush}); returns the number of net deltas applied. *)
 
-val flush_asr : t -> Asr.t -> int
-(** Drain one ASR's buffers. *)
-
 val pending : t -> int
 (** Net buffered deltas over all registered ASRs. *)
 

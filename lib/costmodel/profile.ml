@@ -98,14 +98,6 @@ let with_sizes t sizes =
   if List.length sizes <> t.n + 1 then invalid_arg "Profile.with_sizes: wrong length";
   { t with size = Array.of_list sizes }
 
-let with_d t d =
-  if List.length d <> t.n then invalid_arg "Profile.with_d: wrong length";
-  let d = Array.of_list d in
-  Array.iteri
-    (fun i x -> if x < 0. || x > t.c.(i) then invalid_arg "Profile.with_d: bad d_i")
-    d;
-  { t with d }
-
 let with_fan t fan =
   if List.length fan <> t.n then invalid_arg "Profile.with_fan: wrong length";
   { t with fan = Array.of_list fan }

@@ -16,8 +16,6 @@ type system = {
   pp_size : float;  (** Default 4. *)
 }
 
-val default_system : system
-
 val bplus_fan : system -> float
 (** [floor (page_size / (pp_size + oid_size))] = 338 by default. *)
 
@@ -92,7 +90,6 @@ val spread : t -> int -> float
 (** [spread_i = d_i / e_(i+1)]. *)
 
 val with_sizes : t -> float list -> t
-val with_d : t -> float list -> t
 val with_fan : t -> float list -> t
 
 val pp : Format.formatter -> t -> unit

@@ -94,8 +94,6 @@ let q p x dec kind i j =
   else if Core.Extension.supports x ~n:(Profile.n p) ~i ~j then qsup p x dec kind i j
   else qnas p kind i j
 
-let q_no_support = qnas
-
 (* Equations 31-35 price every page access as a physical fault — true
    for a cold buffer.  Against a warm pool a fraction [r] of accesses
    hit resident pages; scale the analytical cost by the measured miss

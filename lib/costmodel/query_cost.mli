@@ -24,9 +24,6 @@ val q :
 (** Equation 35: dispatch — supported evaluation when the extension
     applies to [(i,j)], the unsupported cost otherwise. *)
 
-val q_no_support : Profile.t -> query_kind -> int -> int -> float
-(** Alias of {!qnas}, for mix comparisons. *)
-
 val warmed : float -> hit_ratio:float option -> float
 (** Buffer-aware adjustment of an analytical cost: equations 31-35
     price page accesses as physical faults, so against a buffer pool

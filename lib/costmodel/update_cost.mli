@@ -7,23 +7,12 @@
     ([I_l]/[I_r], section 6.1, equation 36), and the updates of the
     access support relation partitions (section 6.2). *)
 
-val object_update_cost : float
-(** The constant the paper states for updating [o_i] itself (3 page
-    accesses, section 6). *)
-
 val search :
   Profile.t -> Core.Extension.kind -> Core.Decomposition.t -> int -> float
 (** Equation 36: expected search cost for [ins_i].  Full extensions
     search only the access relations; left-complete adds a conditional
     forward data search, right-complete a conditional backward extent
     sweep, canonical possibly both. *)
-
-val qfw : Profile.t -> Core.Extension.kind -> int -> int * int -> float
-(** Sections 6.2.1-6.2.4: expected number of forward-clustered B+ tree
-    clusters of partition [(a,b)] that [ins_i] touches. *)
-
-val qbw : Profile.t -> Core.Extension.kind -> int -> int * int -> float
-(** Backward-clustered counterpart. *)
 
 val aup : Profile.t -> Core.Extension.kind -> Core.Decomposition.t -> int -> float
 (** Access-relation update cost: per partition, the B+ tree descents
@@ -32,7 +21,8 @@ val aup : Profile.t -> Core.Extension.kind -> Core.Decomposition.t -> int -> flo
     nothing. *)
 
 val total : Profile.t -> Core.Extension.kind -> Core.Decomposition.t -> int -> float
-(** [object_update_cost + search + aup]. *)
+(** The object update itself (3 page accesses, section 6), plus
+    {!search}, plus {!aup}. *)
 
 val total_no_support : float
 (** Update cost without any access support relation: just the object

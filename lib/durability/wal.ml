@@ -255,7 +255,6 @@ module Scanner = struct
 
   let committed_bytes t = t.committed
   let committed_records t = t.committed_records
-  let fed_bytes t = t.base + String.length t.buf
   let pending_records t = List.length t.open_group
 end
 

@@ -137,9 +137,6 @@ module Scanner : sig
   val committed_records : t -> int
   (** Records (markers included) in the committed prefix. *)
 
-  val fed_bytes : t -> int
-  (** Total bytes fed so far. *)
-
   val pending_records : t -> int
   (** Intact records past the committed point (an open span). *)
 end

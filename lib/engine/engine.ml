@@ -5,8 +5,9 @@
    strategies for a Q^(i,j) query (Definitions 3.4-3.8 decide which
    extensions apply), prices every strategy with the paper's analytical
    cost model (equations 31-35) fed by live profiles, caches the winning
-   plan per query shape, and executes plans either probe-at-a-time or
-   batched across many probes sharing B+ tree descents and leaf pages. *)
+   plan per query shape, and executes plans through one interpreter
+   that walks many probes at once, sharing B+ tree descents and leaf
+   pages (a single probe is a batch of one). *)
 
 module QC = Costmodel.Query_cost
 
@@ -15,15 +16,11 @@ module QC = Costmodel.Query_cost
 (* ------------------------------------------------------------------ *)
 
 module Plan = struct
-  type dir = Fwd | Bwd
+  type dir = Core.Exec.dir = Fwd | Bwd
 
   let dir_to_string = function Fwd -> "fw" | Bwd -> "bw"
 
-  (* One partition visit while stitching a decomposed extension back
-     together.  [enter] is the column at which the walk enters the
-     partition: at a clustering boundary the visit is a key lookup, at
-     an interior column every leaf page must be scanned (section 5.6). *)
-  type step =
+  type step = Core.Exec.step =
     | Lookup of { part : int; enter : int }
     | Scan of { part : int; enter : int }
 
@@ -39,14 +36,12 @@ module Plan = struct
         j : int;  (** Object positions within the {e index's} path. *)
         steps : step list;
       }  (** Prefix/suffix stitch across the index's decomposition. *)
-    | Union of t list  (** Merge sub-plan answers, duplicate-free. *)
-    | Distinct of t
 
   let step_to_string = function
     | Lookup { part; enter } -> Printf.sprintf "lookup(p%d@c%d)" part enter
     | Scan { part; enter } -> Printf.sprintf "scan(p%d@c%d)" part enter
 
-  let rec to_string = function
+  let to_string = function
     | Nav { path; i; j } ->
       Printf.sprintf "nav fw(%d,%d) over %s" i j (Gom.Path.to_string path)
     | Extent_scan { path; i; j } ->
@@ -57,8 +52,6 @@ module Plan = struct
         (Core.Decomposition.to_string (Core.Asr.decomposition index))
         (Gom.Path.to_string (Core.Asr.path index))
         (String.concat " ; " (List.map step_to_string steps))
-    | Union ps -> "union(" ^ String.concat " | " (List.map to_string ps) ^ ")"
-    | Distinct p -> "distinct(" ^ to_string p ^ ")"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -156,11 +149,6 @@ let set_health t f =
       t.health <- Some f;
       t.generation <- t.generation + 1)
 
-let clear_health t =
-  with_lock t (fun () ->
-      t.health <- None;
-      t.generation <- t.generation + 1)
-
 let freshness t = with_lock t (fun () -> t.freshness)
 
 let set_freshness t mode =
@@ -256,11 +244,9 @@ let register t a =
         t.generation <- t.generation + 1
       end)
 
-let rec plan_uses a (p : Plan.t) =
+let plan_uses a (p : Plan.t) =
   match p with
   | Plan.Stitch { index; _ } -> index == a
-  | Plan.Union ps -> List.exists (plan_uses a) ps
-  | Plan.Distinct p -> plan_uses a p
   | Plan.Nav _ | Plan.Extent_scan _ -> false
 
 let unregister t a =
@@ -295,12 +281,10 @@ let stitch_usable t index steps =
 
 (* A plan is live when every index it stitches through is still
    registered and fully healthy over the partitions it visits. *)
-let rec plan_live_with indexes health (p : Plan.t) =
+let plan_live_with indexes health (p : Plan.t) =
   match p with
   | Plan.Nav _ | Plan.Extent_scan _ -> true
   | Plan.Stitch { index; steps; _ } -> stitch_usable_with indexes health index steps
-  | Plan.Union ps -> List.for_all (plan_live_with indexes health) ps
-  | Plan.Distinct p -> plan_live_with indexes health p
 
 let cache_info t =
   with_lock t (fun () ->
@@ -466,51 +450,6 @@ let analytic_decomposition path dec =
   in
   Core.Decomposition.make ~m:n bounds
 
-(* Static partition walks, mirroring Exec.forward_supported /
-   backward_supported exactly. *)
-
-let forward_steps index ~ci ~cj =
-  let rec go pidx cur acc =
-    let lo, hi = Core.Asr.partition_bounds index pidx in
-    let s =
-      if cur > lo then Plan.Scan { part = pidx; enter = cur }
-      else Plan.Lookup { part = pidx; enter = cur }
-    in
-    let stop = min hi cj in
-    if stop >= cj then List.rev (s :: acc) else go (pidx + 1) stop (s :: acc)
-  in
-  go (Core.Asr.partition_index_of_column index ci) ci []
-
-(* Index of the partition whose clustering end matches [col] if any,
-   else the one containing it (same rule as Exec). *)
-let part_ending index col =
-  let k = ref (-1) in
-  for idx = 0 to Core.Asr.partition_count index - 1 do
-    let _, hi = Core.Asr.partition_bounds index idx in
-    if !k < 0 && hi = col then k := idx
-  done;
-  if !k >= 0 then !k else Core.Asr.partition_index_of_column index col
-
-let backward_steps index ~ci ~cj =
-  let rec go pidx cur acc =
-    let lo, hi = Core.Asr.partition_bounds index pidx in
-    let s =
-      if cur < hi then Plan.Scan { part = pidx; enter = cur }
-      else Plan.Lookup { part = pidx; enter = cur }
-    in
-    let stop = max lo ci in
-    if stop <= ci then List.rev (s :: acc) else go (pidx - 1) stop (s :: acc)
-  in
-  go (part_ending index cj) cj []
-
-let steps_for index dir ~i ~j =
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  match (dir : Plan.dir) with
-  | Fwd -> forward_steps index ~ci ~cj
-  | Bwd -> backward_steps index ~ci ~cj
-
 let qkind = function Plan.Fwd -> QC.Fw | Plan.Bwd -> QC.Bw
 
 (* Buffer warmth, summarised per segment as a decile bucket (-1 when
@@ -534,6 +473,11 @@ let check_range path ~i ~j =
   if not (0 <= i && i < j && j <= n) then
     invalid_arg (Printf.sprintf "Engine: invalid query range (%d,%d) for n=%d" i j n)
 
+(* The strategy that never consults an index: navigation forward, an
+   exhaustive extent scan backward. *)
+let live_plan path ~i ~j (dir : Plan.dir) =
+  match dir with Fwd -> Plan.Nav { path; i; j } | Bwd -> Plan.Extent_scan { path; i; j }
+
 let candidates ?env t path ~i ~j ~dir =
   let env = resolve_env t env in
   check_range path ~i ~j;
@@ -541,11 +485,6 @@ let candidates ?env t path ~i ~j ~dir =
      enumeration; pricing happens outside the lock. *)
   let indexes, health = with_lock t (fun () -> (t.indexes, t.health)) in
   let prof_q = profile_in ~env t path in
-  let nav_plan =
-    match (dir : Plan.dir) with
-    | Fwd -> Plan.Nav { path; i; j }
-    | Bwd -> Plan.Extent_scan { path; i; j }
-  in
   (* Buffer-aware pricing: equations 31-35 assume every access faults;
      scale each candidate by the measured hit ratio of the segment it
      would actually touch (navigation and extent scans read heap pages,
@@ -553,7 +492,7 @@ let candidates ?env t path ~i ~j ~dir =
      correctly between cold and warm cache. *)
   let seg_ratio seg = Storage.Stats.segment_hit_ratio env.Core.Exec.stats seg in
   let nav =
-    { plan = nav_plan;
+    { plan = live_plan path ~i ~j dir;
       est_cost = QC.warmed (QC.qnas prof_q (qkind dir) i j) ~hit_ratio:(seg_ratio "heap") }
   in
   let whole ipath off = off = 0 && Gom.Path.length ipath = Gom.Path.length path in
@@ -565,7 +504,7 @@ let candidates ?env t path ~i ~j ~dir =
         match embedding_offset ~index_path:ipath ~query_path:path with
         | Some off when Core.Asr.supports a ~i:(off + i) ~j:(off + j) ->
           let pi = off + i and pj = off + j in
-          let steps = steps_for a dir ~i:pi ~j:pj in
+          let steps = Core.Exec.steps a dir ~i:pi ~j:pj in
           if not (stitch_usable_with indexes health a steps) then begin
             (* The index embeds the path and supports the range, but is
                quarantined over a partition this walk would visit: plan
@@ -647,225 +586,81 @@ let choose_aux ?env t path ~i ~j ~dir =
 let choose ?env t path ~i ~j ~dir = fst (choose_aux ?env t path ~i ~j ~dir)
 
 (* ------------------------------------------------------------------ *)
-(* Execution: one probe                                                *)
+(* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_forward_exn ~env t plan oid =
-  match (plan : Plan.t) with
-  | Nav { path; i; j } -> Core.Exec.forward_scan env path ~i ~j oid
-  | Stitch { index; i; j; steps; _ } ->
+(* The one plan interpreter behind every execution entry point:
+   evaluate [plan] for every probe (source references forward, targets
+   backward) within the current accounting operation.  A stitch walks
+   the partitions once for the whole batch (Core.Exec.stitch); the
+   always-live plans answer probe by probe.  Raises Stale_plan when the
+   stitch's index is no longer registered, healthy or reachable. *)
+let run_exn ~env t (plan : Plan.t) ~(dir : Plan.dir) probes =
+  match (plan, dir) with
+  | Stitch { index; dir = d; i; j; steps }, _ when d = dir ->
     if not (stitch_usable t index steps) then raise Stale_plan;
     with_index_trees ~env t index (fun () ->
-        Core.Exec.forward_supported env index ~i ~j oid)
-  | Extent_scan _ -> invalid_arg "Engine.run_forward: backward plan"
-  | Union ps ->
-    List.concat_map (fun p -> run_forward_exn ~env t p oid) ps
-    |> List.sort_uniq Gom.Value.compare
-  | Distinct p -> List.sort_uniq Gom.Value.compare (run_forward_exn ~env t p oid)
+        Core.Exec.stitch env index dir ~i ~j steps (Array.map (fun p -> [ p ]) probes))
+  | Nav { path; i; j }, Fwd ->
+    Array.map (fun p -> Core.Exec.forward_scan env path ~i ~j (Gom.Value.oid_exn p)) probes
+  | Extent_scan { path; i; j }, Bwd ->
+    Array.map
+      (fun target ->
+        Core.Exec.backward_scan env path ~i ~j ~target
+        |> List.map (fun o -> Gom.Value.Ref o))
+      probes
+  | (Stitch _ | Nav _ | Extent_scan _), _ ->
+    invalid_arg
+      (Printf.sprintf "Engine.run: plan %s cannot answer a %s query" (Plan.to_string plan)
+         (Plan.dir_to_string dir))
 
-let run_forward ?env t plan oid =
+let to_oids vs = List.map Gom.Value.oid_exn vs
+
+let run_one ?env t plan ~dir probe =
   let env = resolve_env t env in
-  try run_forward_exn ~env t plan oid
+  try (run_exn ~env t plan ~dir [| probe |]).(0)
   with Stale_plan ->
-    invalid_arg "Engine.run_forward: plan uses an unregistered or quarantined index"
+    invalid_arg "Engine.run: plan uses an unregistered or quarantined index"
 
-let rec run_backward_exn ~env t plan ~target =
-  match (plan : Plan.t) with
-  | Extent_scan { path; i; j } -> Core.Exec.backward_scan env path ~i ~j ~target
-  | Stitch { index; i; j; steps; _ } ->
-    if not (stitch_usable t index steps) then raise Stale_plan;
-    with_index_trees ~env t index (fun () ->
-        Core.Exec.backward_supported env index ~i ~j ~target)
-  | Nav _ -> invalid_arg "Engine.run_backward: forward plan"
-  | Union ps ->
-    List.concat_map (fun p -> run_backward_exn ~env t p ~target) ps
-    |> List.sort_uniq Gom.Oid.compare
-  | Distinct p -> List.sort_uniq Gom.Oid.compare (run_backward_exn ~env t p ~target)
+let run_forward ?env t plan oid = run_one ?env t plan ~dir:Plan.Fwd (Gom.Value.Ref oid)
 
-let run_backward ?env t plan ~target =
+let run_backward ?env t plan ~target = to_oids (run_one ?env t plan ~dir:Plan.Bwd target)
+
+(* Plan (cached) and evaluate [probes] as one accounting operation.  A
+   chosen stitch can go stale between planning and execution when
+   another domain races an unregister or a quarantine: the probes then
+   degrade to the always-live plan, navigation or extent scan (one
+   fallback recorded per probe, plans invalidated) — never a wrong
+   answer, never a crashed query. *)
+let execute ?env t path ~i ~j ~dir probes =
   let env = resolve_env t env in
-  try run_backward_exn ~env t plan ~target
+  let c = choose ~env t path ~i ~j ~dir in
+  Storage.Stats.begin_op env.Core.Exec.stats;
+  try run_exn ~env t c.chosen ~dir probes
   with Stale_plan ->
-    invalid_arg "Engine.run_backward: plan uses an unregistered or quarantined index"
-
-(* A chosen plan can go stale between planning and execution when
-   another domain races an unregister or a quarantine.  Readers then
-   degrade to the always-live navigational strategy (recorded as a
-   fallback, plans invalidated) — never a wrong answer, never a
-   crashed query. *)
-
-let nav_fallback ~env t path ~i ~j oid =
-  Storage.Stats.note_fallback env.Core.Exec.stats;
-  invalidate_plans t;
-  run_forward_exn ~env t (Plan.Nav { path; i; j }) oid
-
-let scan_fallback ~env t path ~i ~j ~target =
-  Storage.Stats.note_fallback env.Core.Exec.stats;
-  invalidate_plans t;
-  run_backward_exn ~env t (Plan.Extent_scan { path; i; j }) ~target
+    Array.iter (fun _ -> Storage.Stats.note_fallback env.Core.Exec.stats) probes;
+    invalidate_plans t;
+    run_exn ~env t (live_plan path ~i ~j dir) ~dir probes
 
 let forward ?env t path ~i ~j oid =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Fwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
-  try run_forward_exn ~env t c.chosen oid
-  with Stale_plan -> nav_fallback ~env t path ~i ~j oid
+  (execute ?env t path ~i ~j ~dir:Plan.Fwd [| Gom.Value.Ref oid |]).(0)
 
 let backward ?env t path ~i ~j ~target =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Bwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
-  try run_backward_exn ~env t c.chosen ~target
-  with Stale_plan -> scan_fallback ~env t path ~i ~j ~target
+  to_oids (execute ?env t path ~i ~j ~dir:Plan.Bwd [| target |]).(0)
 
-(* ------------------------------------------------------------------ *)
-(* Execution: batched probes                                           *)
-(* ------------------------------------------------------------------ *)
-
-let distinct_at rows col =
-  rows
-  |> List.filter_map (fun (row : Relation.Tuple.t) ->
-         let v = row.(col) in
-         if Gom.Value.is_null v then None else Some v)
-  |> List.sort_uniq Gom.Value.compare
-
-let assoc_rows fetched key =
-  match List.find_opt (fun (k, _) -> Gom.Value.equal k key) fetched with
-  | Some (_, rows) -> rows
-  | None -> []
-
-let is_empty = function [] -> true | _ :: _ -> false
-
-(* Walk the partitions once for the whole batch ([frontiers] holds one
-   frontier per probe): a partition entered at an interior column is
-   scanned once and filtered per probe, a clustering-boundary entry
-   turns into one sorted multi-key lookup sharing descents and leaf
-   pages across probes.  The per-probe results are exactly those of
-   Exec.forward_supported / backward_supported. *)
-
-let batch_select ~stats index pidx ~interior ~col_in_part ~lookup_many frontiers =
-  if interior then begin
-    let rows = Core.Asr.scan_partition ~stats index pidx in
-    fun frontier ->
-      List.filter
-        (fun (row : Relation.Tuple.t) ->
-          List.exists (Gom.Value.equal row.(col_in_part)) frontier)
-        rows
-  end
-  else begin
-    let keys = Array.to_list frontiers |> List.concat in
-    let fetched = lookup_many ~stats index pidx keys in
-    fun frontier -> List.concat_map (assoc_rows fetched) frontier
-  end
-
-let advance frontiers select ~col_in_part =
-  Array.map
-    (fun f -> if is_empty f then [] else distinct_at (select f) col_in_part)
-    frontiers
-
-let batch_stitch_fwd ~env index ~i ~j frontiers =
-  let stats = env.Core.Exec.stats in
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let lookup_many ~stats index pidx keys =
-    Core.Asr.lookup_fwd_many ~stats index pidx keys
-  in
-  let rec go pidx cur frontiers =
-    (* Cancellation checkpoint between partition rounds: a whole round's
-       descents and merges either happen or don't, so every frontier is
-       still exact when Deadline.Expired propagates. *)
-    Core.Exec.checkpoint env;
-    if Array.for_all is_empty frontiers then frontiers
-    else begin
-      let lo, hi = Core.Asr.partition_bounds index pidx in
-      let select =
-        batch_select ~stats index pidx ~interior:(cur > lo) ~col_in_part:(cur - lo)
-          ~lookup_many frontiers
-      in
-      let stop = min hi cj in
-      let frontiers' = advance frontiers select ~col_in_part:(stop - lo) in
-      if stop >= cj then frontiers' else go (pidx + 1) stop frontiers'
-    end
-  in
-  go (Core.Asr.partition_index_of_column index ci) ci frontiers
-
-let batch_stitch_bwd ~env index ~i ~j frontiers =
-  let stats = env.Core.Exec.stats in
-  let path = Core.Asr.path index in
-  let ci = Gom.Path.column_of_object_position path i in
-  let cj = Gom.Path.column_of_object_position path j in
-  let lookup_many ~stats index pidx keys =
-    Core.Asr.lookup_bwd_many ~stats index pidx keys
-  in
-  let rec go pidx cur frontiers =
-    Core.Exec.checkpoint env;
-    if Array.for_all is_empty frontiers then frontiers
-    else begin
-      let lo, hi = Core.Asr.partition_bounds index pidx in
-      let select =
-        batch_select ~stats index pidx ~interior:(cur < hi) ~col_in_part:(cur - lo)
-          ~lookup_many frontiers
-      in
-      let stop = max lo ci in
-      let frontiers' = advance frontiers select ~col_in_part:(stop - lo) in
-      if stop <= ci then frontiers' else go (pidx - 1) stop frontiers'
-    end
-  in
-  go (part_ending index cj) cj frontiers
-
+(* Batches are deduplicated and answered in sorted probe order. *)
 let forward_batch ?env t path ~i ~j oids =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Fwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
   let probes = List.sort_uniq Gom.Oid.compare oids in
-  match c.chosen with
-  | Plan.Stitch { index; i = pi; j = pj; steps; _ } -> (
-    try
-      if not (stitch_usable t index steps) then raise Stale_plan;
-      with_index_trees ~env t index (fun () ->
-          let frontiers =
-            Array.of_list (List.map (fun o -> [ Gom.Value.Ref o ]) probes)
-          in
-          let finals = batch_stitch_fwd ~env index ~i:pi ~j:pj frontiers in
-          List.mapi (fun k o -> (o, finals.(k))) probes)
-    with Stale_plan ->
-      List.map (fun o -> (o, nav_fallback ~env t path ~i ~j o)) probes)
-  | plan ->
-    List.map
-      (fun o ->
-        ( o,
-          try run_forward_exn ~env t plan o
-          with Stale_plan -> nav_fallback ~env t path ~i ~j o ))
-      probes
+  let answers =
+    execute ?env t path ~i ~j ~dir:Plan.Fwd
+      (Array.of_list (List.map (fun o -> Gom.Value.Ref o) probes))
+  in
+  List.mapi (fun k o -> (o, answers.(k))) probes
 
 let backward_batch ?env t path ~i ~j ~targets =
-  let env = resolve_env t env in
-  let c = choose ~env t path ~i ~j ~dir:Plan.Bwd in
-  Storage.Stats.begin_op env.Core.Exec.stats;
   let probes = List.sort_uniq Gom.Value.compare targets in
-  match c.chosen with
-  | Plan.Stitch { index; i = pi; j = pj; steps; _ } -> (
-    try
-      if not (stitch_usable t index steps) then raise Stale_plan;
-      with_index_trees ~env t index (fun () ->
-          let frontiers = Array.of_list (List.map (fun v -> [ v ]) probes) in
-          let finals = batch_stitch_bwd ~env index ~i:pi ~j:pj frontiers in
-          List.mapi
-            (fun k v ->
-              ( v,
-                finals.(k) |> List.map Gom.Value.oid_exn
-                |> List.sort_uniq Gom.Oid.compare ))
-            probes)
-    with Stale_plan ->
-      List.map (fun v -> (v, scan_fallback ~env t path ~i ~j ~target:v)) probes)
-  | plan ->
-    List.map
-      (fun v ->
-        ( v,
-          try run_backward_exn ~env t plan ~target:v
-          with Stale_plan -> scan_fallback ~env t path ~i ~j ~target:v ))
-      probes
+  let answers = execute ?env t path ~i ~j ~dir:Plan.Bwd (Array.of_list probes) in
+  List.mapi (fun k v -> (v, to_oids answers.(k))) probes
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                             *)
@@ -890,7 +685,7 @@ let explain t path ~i ~j ~dir =
     x_dir = dir;
     x_choice = choice;
     x_cached = cached;
-    x_generation = t.generation;
+    x_generation = generation t;
   }
 
 let explanation_to_string x =

@@ -24,8 +24,8 @@
     scans happen once per batch instead of once per probe, and
     clustering-boundary lookups go through
     {!Core.Asr.lookup_fwd_many} so sorted keys share B+ tree descents
-    and leaf pages.  Per-probe answers equal those of
-    {!Core.Exec.forward_supported} / {!Core.Exec.backward_supported}.
+    and leaf pages.  Every entry point runs the same walker
+    ({!Core.Exec.stitch}): a single probe is a batch of one.
 
     {2 Domain safety}
 
@@ -46,16 +46,12 @@
 
 (** Physical plan IR. *)
 module Plan : sig
-  type dir = Fwd | Bwd
+  type dir = Core.Exec.dir = Fwd | Bwd
 
   val dir_to_string : dir -> string
 
-  (** One partition visit while stitching a decomposed extension back
-      together.  [enter] is the column at which the walk enters the
-      partition: at a clustering boundary the visit is a key lookup, at
-      an interior column every leaf page must be scanned (section
-      5.6). *)
-  type step =
+  (** One partition visit of a stitch ({!Core.Exec.step}). *)
+  type step = Core.Exec.step =
     | Lookup of { part : int; enter : int }
     | Scan of { part : int; enter : int }
 
@@ -71,8 +67,6 @@ module Plan : sig
         j : int;  (** Object positions within the {e index's} path. *)
         steps : step list;
       }  (** Prefix/suffix stitch across the index's decomposition. *)
-    | Union of t list  (** Merge sub-plan answers, duplicate-free. *)
-    | Distinct of t
 
   val step_to_string : step -> string
   val to_string : t -> string
@@ -124,9 +118,6 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
     refuse stale stitches.  When a usable index is priced out this way
     the degradation is recorded via {!Storage.Stats.note_fallback} on
     the environment's stats.  Bumps the generation. *)
-
-val clear_health : t -> unit
-(** Trust every registered index again.  Bumps the generation. *)
 
 (* {2 Freshness watermark} *)
 
@@ -180,11 +171,6 @@ val profile : t -> Gom.Path.t -> Costmodel.Profile.t
     measured (memoised until the next store mutation). *)
 
 (* {2 Planning} *)
-
-val analytic_decomposition : Gom.Path.t -> Core.Decomposition.t -> Core.Decomposition.t
-(** Map a physical decomposition's column boundaries to the analytical
-    model's object positions (its [m = n] simplification drops set-OID
-    columns). *)
 
 val embedding_offset : index_path:Gom.Path.t -> query_path:Gom.Path.t -> int option
 (** First object-position offset at which the query path embeds in the

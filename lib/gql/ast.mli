@@ -46,8 +46,6 @@ type query = {
   limit : int option;
 }
 
-val pp_lit : Format.formatter -> lit -> unit
-val pp_path_ref : Format.formatter -> path_ref -> unit
 val pp_expr : Format.formatter -> expr -> unit
 val pp_pred : Format.formatter -> pred -> unit
 val pp : Format.formatter -> query -> unit

@@ -59,9 +59,7 @@ let source ?(sizes = fun _ -> 100) ?maintenance ~specs base =
     src_events = events;
   }
 
-let source_engine src = src.src_engine
 let source_indexes src = src.src_indexes
-let source_maintenance src = src.src_maintenance
 
 (* Publication: O(events since the previous epoch), not O(store).  The
    caller must exclude concurrent writers (the server's writer mutex).
@@ -90,8 +88,6 @@ let advance src =
     copied = Gom.Frozen.copied frozen;
     shared = Gom.Frozen.shared frozen;
   }
-
-let capture ?sizes ~specs base = advance (source ?sizes ~specs base)
 
 let epoch t = t.epoch
 let store t = t.view

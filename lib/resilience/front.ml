@@ -377,7 +377,6 @@ let stats t =
   Storage.Stats.merge (Server.stats t.server)
     (Mutex.protect t.lock (fun () -> Storage.Stats.snapshot t.stats))
 
-let queue_length t = Mutex.protect t.lock (fun () -> t.qlen)
 let in_brownout t = Mutex.protect t.lock (fun () -> t.brownout)
 let breaker t = t.breaker
 

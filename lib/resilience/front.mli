@@ -108,7 +108,6 @@ val stats : t -> Storage.Stats.summary
 (** Server accounting merged with the front's resilience counters
     ([shed], [timed_out], [breaker_open], [stale_epoch_served]). *)
 
-val queue_length : t -> int
 val in_brownout : t -> bool
 val breaker : t -> Breaker.t
 

@@ -46,16 +46,11 @@ val shard_of_id : t -> int -> int
 
 val shard_of_oid : t -> Gom.Oid.t -> int
 
-val shard_of_value : t -> Gom.Value.t -> int
-(** References place by their identifier; elementary values by a
-    process-independent FNV-1a hash of their serialised form; [Null]
-    places on shard 0 (callers never route on NULL — the leftmost
-    non-NULL rule sees to that). *)
-
 val shard_of_tuple : t -> Relation.Tuple.t -> int
-(** Owner of a tuple: {!shard_of_value} of its leftmost non-NULL
-    column; an all-NULL tuple (which no extension contains) owns to
-    shard 0. *)
+(** Owner of a tuple, placed by its leftmost non-NULL column: a
+    reference by its identifier, an elementary value by a
+    process-independent FNV-1a hash of its serialised form; an all-NULL
+    tuple (which no extension contains) owns to shard 0. *)
 
 val owner_pred : t -> int -> Relation.Tuple.t -> bool
 (** [owner_pred t k] is the predicate handed to [Core.Asr.create

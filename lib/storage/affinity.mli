@@ -28,12 +28,6 @@ val break_run : t -> unit
 val touches : t -> int
 (** Total accesses recorded. *)
 
-val edge_count : t -> int
-
-val decay : t -> unit
-(** Halve every edge weight, dropping edges that reach zero — the aging
-    step that keeps the graph tracking the {e current} workload. *)
-
 val clusters :
   t -> size_of:(Gom.Oid.t -> int) -> page_size:int -> Gom.Oid.t list list
 (** Greedy affinity clustering: edges are taken hottest-first and their

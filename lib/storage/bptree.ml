@@ -378,32 +378,12 @@ let rec descend_for_key ?stats t key node =
     in
     descend_for_key ?stats t key child
 
-let lookup ?stats t key =
-  let leaf = descend_for_key ?stats t key t.root in
-  let acc = ref [] in
-  let rec walk node ~charged =
-    match node.body with
-    | Inner _ -> ()
-    | Leaf l ->
-      if not charged then read stats node.page;
-      List.iter
-        (fun e ->
-          if Gom.Value.compare (t.key_of e.tup) key = 0 then acc := e.tup :: !acc)
-        l.entries;
-      (* The run may extend into the next leaf as long as this leaf
-         holds no entry beyond the key (duplicate runs can start exactly
-         at a leaf boundary, so an empty prefix is not a stop). *)
-      let continue_right =
-        match List.rev l.entries with
-        | [] -> true
-        | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0
-      in
-      if continue_right then
-        match l.next with Some nx -> walk nx ~charged:false | None -> ()
-  in
-  (* The descent already read the first leaf page. *)
-  walk leaf ~charged:true;
-  List.rev !acc
+(* How a leaf's last (greatest) entry key compares with [key], without
+   allocating; an empty leaf counts as ending before it. *)
+let rec last_vs t key = function
+  | [] -> -1
+  | [ last ] -> Gom.Value.compare (t.key_of last.tup) key
+  | _ :: rest -> last_vs t key rest
 
 (* Serve many point lookups at once, in ascending key order, sharing
    tree descents between adjacent keys: when the next key falls strictly
@@ -419,18 +399,11 @@ let lookup_many ?stats t keys =
     (fun key ->
       let resume =
         match !cursor with
-        | Some node -> (
-          match node.body with
-          | Leaf { entries = first :: _ as es; _ } -> (
-            match List.rev es with
-            | last :: _
-              when Gom.Value.compare (t.key_of first.tup) key < 0
-                   && Gom.Value.compare (t.key_of last.tup) key >= 0 ->
-              (* The run for [key], if any, starts in this leaf. *)
-              Some node
-            | _ -> None)
-          | Leaf _ | Inner _ -> None)
-        | None -> None
+        | Some ({ body = Leaf { entries = first :: _ as es; _ }; _ } as node)
+          when Gom.Value.compare (t.key_of first.tup) key < 0 && last_vs t key es >= 0 ->
+          (* The run for [key], if any, starts in this leaf. *)
+          Some node
+        | Some _ | None -> None
       in
       let leaf =
         match resume with
@@ -438,35 +411,32 @@ let lookup_many ?stats t keys =
         | None -> descend_for_key ?stats t key t.root
       in
       let acc = ref [] in
+      (* The run may extend into the next leaf as long as this leaf
+         holds no entry beyond the key (duplicate runs can start exactly
+         at a leaf boundary, so an empty prefix is not a stop). *)
+      let continues_right n =
+        match n.body with Inner _ -> false | Leaf l -> last_vs t key l.entries <= 0
+      in
       let rec walk node =
         match node.body with
         | Inner _ -> ()
         | Leaf l ->
           read stats node.page;
-          prefetch_chain stats node
-            ~will_follow:(fun n ->
-              match n.body with
-              | Inner _ -> false
-              | Leaf l -> (
-                match List.rev l.entries with
-                | [] -> true
-                | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0));
+          prefetch_chain stats node ~will_follow:continues_right;
           cursor := Some node;
           List.iter
             (fun e ->
               if Gom.Value.compare (t.key_of e.tup) key = 0 then acc := e.tup :: !acc)
             l.entries;
-          let continue_right =
-            match List.rev l.entries with
-            | [] -> true
-            | last :: _ -> Gom.Value.compare (t.key_of last.tup) key <= 0
-          in
-          if continue_right then
+          if continues_right node then
             match l.next with Some nx -> walk nx | None -> ()
       in
       walk leaf;
       (key, List.rev !acc))
     keys
+
+let lookup ?stats t key =
+  match lookup_many ?stats t [ key ] with [ (_, tuples) ] -> tuples | _ -> assert false
 
 let find_entry t tup =
   let key = t.key_of tup in

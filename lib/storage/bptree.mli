@@ -48,19 +48,19 @@ val remove : ?stats:Stats.t -> t -> tuple -> unit
     reaches zero.  Unknown tuples are ignored.  Leaves may become
     under-full (lazy deletion); empty leaves are unlinked. *)
 
-val lookup : ?stats:Stats.t -> t -> Gom.Value.t -> tuple list
-(** All tuples whose key equals the argument (each listed once,
-    whatever its reference count), in tuple order.  Accounting: the
-    descent reads the inner pages, then every leaf page holding a
-    matching entry. *)
-
 val lookup_many :
   ?stats:Stats.t -> t -> Gom.Value.t list -> (Gom.Value.t * tuple list) list
-(** Batched {!lookup}: serves the (deduplicated) keys in ascending
-    order, re-using the leaf the previous key's run ended on whenever
-    the next key falls inside its key range, so adjacent keys share
-    descents and leaf pages.  Returns one [(key, tuples)] pair per
-    distinct key, in key order ([tuples] may be empty). *)
+(** Point lookups: for each (deduplicated) key, all tuples whose key
+    equals it (each listed once, whatever its reference count), in
+    tuple order.  Keys are served in ascending order, re-using the leaf
+    the previous key's run ended on whenever the next key falls inside
+    its key range, so adjacent keys share descents and leaf pages.
+    Returns one [(key, tuples)] pair per distinct key, in key order
+    ([tuples] may be empty).  Accounting: each descent reads the inner
+    pages, then every leaf page holding a matching entry. *)
+
+val lookup : ?stats:Stats.t -> t -> Gom.Value.t -> tuple list
+(** {!lookup_many} of one key. *)
 
 val apply_many : ?stats:Stats.t -> t -> (tuple * int) list -> unit
 (** Batched {!insert}/{!remove}: apply many signed reference-count

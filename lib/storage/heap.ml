@@ -151,15 +151,6 @@ let read_object t stats oid =
         Stats.read stats (p.first + i)
       done)
 
-let write_object t stats oid =
-  let p = placement t oid in
-  Stats.in_segment stats seg (fun () ->
-      for i = 0 to p.span - 1 do
-        Stats.write stats (p.first + i)
-      done)
-
-let type_pages t ty = List.map fst (Imap.bindings (occ_of t ty))
-
 let extent_pages ?(deep = false) t ty =
   let tys = if deep then Gom.Schema.subtypes_closure t.schema ty else [ ty ] in
   (* Union, not concatenation: after reclustering a page can host

@@ -63,9 +63,6 @@ val read_object : t -> Stats.t -> Gom.Oid.t -> unit
 (** Charge the page reads needed to fetch the object (all [span] pages),
     tagged to the ["heap"] segment, and inform the tracer if any. *)
 
-val write_object : t -> Stats.t -> Gom.Oid.t -> unit
-(** Charge the page writes for storing the object back. *)
-
 val pages_of_type : ?deep:bool -> t -> Gom.Schema.type_name -> int
 (** Number of distinct pages the extent occupies (the paper's [op_i]).
     With [~deep:true] the union over the subtype closure — distinct:
@@ -74,10 +71,6 @@ val pages_of_type : ?deep:bool -> t -> Gom.Schema.type_name -> int
 
 val objects_per_page : t -> Gom.Schema.type_name -> int
 (** The paper's [opp_i]. *)
-
-val type_pages : t -> Gom.Schema.type_name -> int list
-(** The distinct pages currently holding live objects of exactly this
-    type, ascending. *)
 
 val scan_extent : ?deep:bool -> t -> Stats.t -> Gom.Schema.type_name -> unit
 (** Charge reads for every page of the extent (exhaustive search).  The

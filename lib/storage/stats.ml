@@ -239,9 +239,6 @@ let segment_hit_ratio t seg =
       Some (float_of_int c.sh /. float_of_int (c.sh + c.sm))
     | Some _ | None -> None
 
-let segment_accesses t seg =
-  match Hashtbl.find_opt t.segs seg with Some c -> c.sh + c.sm | None -> 0
-
 let note_scrub t = t.scrubs <- t.scrubs + 1
 let note_fallback t = t.fallbacks <- t.fallbacks + 1
 let note_retry t = t.retries <- t.retries + 1
@@ -272,8 +269,6 @@ let frames_retried t = t.frames_retried
 
 let note_shard_grouped t = t.shard_grouped <- t.shard_grouped + 1
 let note_shard_scatter t = t.shard_scatter <- t.shard_scatter + 1
-let shard_grouped t = t.shard_grouped
-let shard_scatter t = t.shard_scatter
 
 let shed t = t.shed
 let timed_out t = t.timed_out

@@ -132,10 +132,6 @@ val segment_hit_ratio : t -> string -> float option
     or when the segment has no accesses yet).  This is the signal the
     planner's buffer-aware pricing scales page costs by. *)
 
-val segment_accesses : t -> string -> int
-(** Buffered accesses recorded for the segment (hits + misses +
-    prefetch hits) — the sample size behind {!segment_hit_ratio}. *)
-
 (** {2 Integrity counters}
 
     Cumulative robustness counters, recorded alongside page traffic so
@@ -264,9 +260,6 @@ val note_shard_grouped : t -> unit
 
 val note_shard_scatter : t -> unit
 (** Record one batch scattered to every shard. *)
-
-val shard_grouped : t -> int
-val shard_scatter : t -> int
 
 val reset : t -> unit
 (** Clears everything, including totals, segment tallies and the buffer

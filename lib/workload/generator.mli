@@ -35,10 +35,6 @@ val of_profile :
 
 val n : spec -> int
 
-val schema_of : spec -> Gom.Schema.t
-(** Types [T0 ... Tn] (each with a [Tag : STRING] attribute), attributes
-    [A1 ... An], set types [SET1 ... SETn] where needed. *)
-
 val size_of : spec -> Gom.Schema.type_name -> int
 (** Object sizes for {!Storage.Heap.create}: [size_i] for [Ti], a small
     [fan]-proportional footprint for set instances. *)

@@ -341,7 +341,7 @@ let prop_advance_equals_capture =
       | victim :: _ when n >= 1 -> Gom.Store.delete store victim
       | _ -> ());
       let snap2 = Snapshot.advance src in
-      let snap_ref = Snapshot.capture ~specs:(specs_for path) store in
+      let snap_ref = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
       let sources = Gom.Store_view.extent ~deep:true (Snapshot.store snap_ref) t0 in
       let targets =
         Gom.Store_view.extent ~deep:true (Snapshot.store snap_ref) tn
@@ -393,7 +393,7 @@ let test_plan_cache_stress () =
         (Workload.Generator.spec ~seed:(100 + it) ~counts:[ 5; 6; 7 ] ~defined:[ 5; 5 ]
            ~fan:[ 2; 2 ] ())
     in
-    let snap = Snapshot.capture ~specs:(specs_for path) store in
+    let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
     let sstore = Snapshot.store snap in
     let engine = Snapshot.engine snap in
     let m = Gom.Path.arity path - 1 in
@@ -476,7 +476,7 @@ let test_stats_sheaves_sum () =
   (* Sequential replay: same contiguous ceil-split chunking (part of the
      server's documented contract), one private sheaf per chunk, fresh
      snapshot so the plan cache starts equally cold. *)
-  let snap = Snapshot.capture ~specs:(specs_for path) store in
+  let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
   let probes = List.sort_uniq Gom.Oid.compare sources in
   let len = List.length probes in
   let k = max 1 (min jobs len) in

@@ -93,7 +93,7 @@ let prop_deadline_exact_or_expired =
     (fun spec ->
       let store, path = Workload.Generator.build spec in
       let n = Gom.Path.length path in
-      let snap = Snapshot.capture ~specs:(specs_for path) store in
+      let snap = Snapshot.advance (Snapshot.source ~specs:(specs_for path) store) in
       let engine = Snapshot.engine snap in
       let sources = Gom.Store.extent ~deep:true store (Gom.Path.type_at path 0) in
       let targets =

@@ -1,4 +1,5 @@
-(* Tests for Storage.Stats, Storage.Heap and Storage.Config. *)
+(* Tests for Storage.Stats, Storage.Heap, Storage.Config and the
+   Storage.Bptree point lookups. *)
 
 module S = Storage.Stats
 module H = Storage.Heap
@@ -355,6 +356,55 @@ let test_heap_delete_forgets () =
   check "placement dropped" true
     (try ignore (H.page_of heap o); false with Not_found -> true)
 
+(* ---- B+-tree point lookups against a scan-and-filter reference ---- *)
+
+(* page_size 64, tuple 16 bytes -> 4 tuples per leaf, so runs of one key
+   span several leaves. *)
+let lookup_tree () =
+  Storage.Bptree.create
+    ~config:(Storage.Config.make ~page_size:64 ~oid_size:8 ~pp_size:4 ())
+    ~pager:(Storage.Pager.create ()) ~tuple_bytes:16
+    ~key_of:(fun tup -> tup.(0))
+
+let ref_tup a b = [| Gom.Value.Ref (Gom.Oid.of_int a); Gom.Value.Ref (Gom.Oid.of_int b) |]
+
+let prop_lookup_many_matches_scan =
+  let open QCheck in
+  let pairs n = list_of_size Gen.(int_range 0 n) (pair (int_bound 12) (int_bound 20)) in
+  QCheck.Test.make ~count:200
+    ~name:"Bptree.lookup_many and lookup = scan-and-filter reference"
+    (quad (pairs 80) (pairs 40)
+       (list_of_size Gen.(int_range 0 4) (int_bound 12))
+       (list_of_size Gen.(int_range 0 20) (int_range (-1) 14)))
+    (fun (loaded, removed, emptied, queried) ->
+      let module BT = Storage.Bptree in
+      let t = lookup_tree () in
+      (* Few keys and many tuples: duplicate runs (and repeated tuples,
+         which accumulate reference counts) span several leaves. *)
+      BT.bulk_load t (List.map (fun (a, b) -> ref_tup a b) loaded);
+      (* Scattered deletions leave holes and under-full leaves... *)
+      List.iter (fun (a, b) -> BT.remove t (ref_tup a b)) removed;
+      (* ...and dropping whole key runs empties and unlinks leaves. *)
+      List.iter
+        (fun a ->
+          List.iter
+            (fun tup ->
+              if Gom.Value.equal tup.(0) (Gom.Value.Ref (Gom.Oid.of_int a)) then
+                while BT.mem t tup do
+                  BT.remove t tup
+                done)
+            (BT.scan t))
+        emptied;
+      let keys = List.map (fun k -> Gom.Value.Ref (Gom.Oid.of_int k)) queried in
+      let reference k = List.filter (fun tup -> Gom.Value.equal tup.(0) k) (BT.scan t) in
+      let expected =
+        List.map (fun k -> (k, reference k)) (List.sort_uniq Gom.Value.compare keys)
+      in
+      let stats = S.create ~buffer_capacity:2 () in
+      BT.lookup_many t keys = expected
+      && BT.lookup_many ~stats t keys = expected
+      && List.for_all (fun k -> BT.lookup t k = reference k) keys)
+
 let suite =
   [
     Alcotest.test_case "config" `Quick test_config;
@@ -383,4 +433,5 @@ let suite =
     Alcotest.test_case "recluster skips deleted" `Quick test_recluster_skips_deleted_and_large;
     Alcotest.test_case "recluster leaves large objects" `Quick
       test_recluster_large_objects_stay;
+    Qc.to_alcotest prop_lookup_many_matches_scan;
   ]
