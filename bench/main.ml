@@ -605,8 +605,8 @@ let bench_maintenance_batch ~quick () =
         Printf.sprintf
           {|{"policy": %S, "events": %d, "pages_written": %d, "pages_per_event": %.4f, "elapsed_s": %.6f, "events_per_s": %.1f, "deltas_buffered": %d, "deltas_merged": %d, "deltas_annihilated": %d, "deltas_flushed": %d}|}
           name events writes (per_event r) dt eps
-          s.Storage.Stats.s_deltas_buffered s.Storage.Stats.s_deltas_merged
-          s.Storage.Stats.s_deltas_annihilated s.Storage.Stats.s_deltas_flushed)
+          (Storage.Stats.count s Delta_buffered) (Storage.Stats.count s Delta_merged)
+          (Storage.Stats.count s Delta_annihilated) (Storage.Stats.count s Delta_flushed))
       series
   in
   let _, batched = List.nth series 1 in
@@ -779,7 +779,7 @@ let bench_serving ~quick () =
     let outcomes = List.map (fun t -> (t, Resilience.Front.await front t)) tickets in
     let elapsed = Unix.gettimeofday () -. t0 in
     let c = Resilience.Front.counters front in
-    let stale = (Resilience.Front.stats front).Storage.Stats.s_stale_epoch_served in
+    let stale = Storage.Stats.count (Resilience.Front.stats front) Stale_epoch_served in
     Resilience.Front.shutdown front;
     let admitted_lat =
       List.filter_map
@@ -969,15 +969,14 @@ let bench_replication ~quick () =
     ignore (Replication.Session.drain session);
     let dt = Unix.gettimeofday () -. t0 in
     let applied = Replication.Replica.applied_records replica in
-    let s = Storage.Stats.snapshot stats in
+    let count = Storage.Stats.count (Storage.Stats.snapshot stats) in
     assert (
-      s.Storage.Stats.s_frames_shipped
-      = s.Storage.Stats.s_frames_applied + s.Storage.Stats.s_frames_dropped
-        + s.Storage.Stats.s_frames_retried);
+      count Frame_shipped
+      = count Frame_applied + count Frame_dropped + count Frame_retried);
     assert (Replication.Replica.lag_bytes replica = 0);
     Replication.Replica.close replica;
     Durability.Db.close db;
-    (float_of_int applied /. dt, !lags, s.Storage.Stats.s_frames_shipped)
+    (float_of_int applied /. dt, !lags, count Frame_shipped)
   in
   let series =
     List.map
@@ -1108,11 +1107,9 @@ let bench_failover_smoke () =
            re-seeds from backup — and not a gate failure. *)
         `Never_seeded)
   in
-  let s = Storage.Stats.snapshot stats in
+  let count = Storage.Stats.count (Storage.Stats.snapshot stats) in
   let balanced =
-    s.Storage.Stats.s_frames_shipped
-    = s.Storage.Stats.s_frames_applied + s.Storage.Stats.s_frames_dropped
-      + s.Storage.Stats.s_frames_retried
+    count Frame_shipped = count Frame_applied + count Frame_dropped + count Frame_retried
   in
   let promoted, never_seeded, divergences, promote_json =
     match outcome with
@@ -1135,9 +1132,8 @@ let bench_failover_smoke () =
   let json =
     Printf.sprintf
       {|{"bench": "failover-smoke", "seed": %d, "kill_after_frames": %d, "frames_lost_in_flight": %d, "frames_shipped": %d, "frames_applied": %d, "frames_dropped": %d, "frames_retried": %d, "balanced": %b, "applied_bytes": %d, "primary_committed_bytes": %d, "final_lag_bytes": %d, "promoted": %b, "never_seeded": %b, "divergences": %d, "promotion": %s}|}
-      seed kill_after lost s.Storage.Stats.s_frames_shipped
-      s.Storage.Stats.s_frames_applied s.Storage.Stats.s_frames_dropped
-      s.Storage.Stats.s_frames_retried balanced applied_bytes committed
+      seed kill_after lost (count Frame_shipped) (count Frame_applied)
+      (count Frame_dropped) (count Frame_retried) balanced applied_bytes committed
       (committed - applied_bytes) promoted never_seeded divergences
       promote_json
   in
@@ -1271,8 +1267,8 @@ let bench_sharded ~quick () =
         Printf.sprintf
           {|{"shards": %d, "jobs": %d, "elapsed_s": %.6f, "probes_per_s": %.1f, "speedup_vs_1": %.3f, "speedup_valid": %b, "grouped_batches": %d, "scatter_batches": %d, "pages_per_shard": [%s]}|}
           s s dt pps speedup valid
-          summary.Storage.Stats.s_shard_grouped
-          summary.Storage.Stats.s_shard_scatter pages_s)
+          (Storage.Stats.count summary Shard_grouped)
+          (Storage.Stats.count summary Shard_scatter) pages_s)
       results
   in
   Format.printf "  deterministic : answers identical across all shard counts@.";

@@ -297,7 +297,7 @@ let query_sharded base file path_spec index_spec flush_policy batch jobs shards 
         Array.iteri
           (fun k (s : Storage.Stats.summary) ->
             Format.printf "  shard %d: %d page(s) read, %d fallback(s), %d pages held@."
-              k s.Storage.Stats.s_total_reads s.Storage.Stats.s_fallbacks
+              k s.Storage.Stats.s_total_reads (Storage.Stats.count s Fallback)
               (Shard.Group.total_pages grp).(k))
           (Shard.Group.shard_summaries grp);
         print_endline (Storage.Stats.summary_to_json total)
@@ -1151,11 +1151,11 @@ let db_replica_cmd dir follow frame_bytes digest_every chaos kill_after =
           | exception Replication.Session.Stalled m -> exit_data m
           | exception Replication.Primary.Replication_error m -> exit_data m
           | steps -> Format.printf "quiescent after %d pump round(s)@." steps);
-          let s = Storage.Stats.snapshot stats in
+          let count = Storage.Stats.count (Storage.Stats.snapshot stats) in
           Format.printf
             "frames: %d shipped, %d applied, %d dropped, %d retried@."
-            s.Storage.Stats.s_frames_shipped s.Storage.Stats.s_frames_applied
-            s.Storage.Stats.s_frames_dropped s.Storage.Stats.s_frames_retried;
+            (count Frame_shipped) (count Frame_applied) (count Frame_dropped)
+            (count Frame_retried);
           Format.printf
             "replica: generation %d, %d/%d bytes applied (lag %d), %d \
              record(s), %d epoch(s) published@."

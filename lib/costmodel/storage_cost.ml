@@ -7,6 +7,7 @@ let ats p i j =
 let atpp p i j =
   Float.of_int (int_of_float ((Profile.system p).Profile.page_size /. ats p i j))
 
+(* Equation 15: partition size in bytes. *)
 let as_ p kind i j = Cardinality.count p kind i j *. ats p i j
 
 let ap p kind i j =

@@ -13,9 +13,6 @@ val ats : Profile.t -> int -> int -> float
 val atpp : Profile.t -> int -> int -> float
 (** Equation 14: tuples per page. *)
 
-val as_ : Profile.t -> kind -> int -> int -> float
-(** Equation 15: partition size in bytes. *)
-
 val ap : Profile.t -> kind -> int -> int -> float
 (** Equation 16: partition pages (at least 1). *)
 

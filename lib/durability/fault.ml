@@ -238,7 +238,7 @@ let with_retry ?(attempts = 3) ?stats t f =
     try f ()
     with Retryable _ when k < attempts ->
       t.retries <- t.retries + 1;
-      (match stats with Some st -> Storage.Stats.note_retry st | None -> ());
+      (match stats with Some st -> Storage.Stats.note st Retry | None -> ());
       (* Deterministic exponential backoff, recorded rather than slept:
          tests stay instant and the schedule is reproducible. *)
       t.backoff_ticks <- t.backoff_ticks + (1 lsl (k - 1));

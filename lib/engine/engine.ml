@@ -169,10 +169,10 @@ let index_fresh ~env t a =
   match with_lock t (fun () -> t.freshness) with
   | Catch_up ->
     ignore (Core.Asr.flush ~stats a);
-    Storage.Stats.note_catchup_flush stats;
+    Storage.Stats.note stats Catchup_flush;
     true
   | Degrade ->
-    Storage.Stats.note_freshness_degradation stats;
+    Storage.Stats.note stats Freshness_degradation;
     false
 
 (* May this environment walk the index's B+ trees right now?
@@ -532,7 +532,7 @@ let candidates ?env t path ~i ~j ~dir =
         | _ -> None)
       indexes
   in
-  if !degraded then Storage.Stats.note_fallback env.Core.Exec.stats;
+  if !degraded then Storage.Stats.note env.Core.Exec.stats Fallback;
   (* Cheapest first; on a cost tie a supported plan beats navigation
      (matching equation 35's dispatch when the model cannot separate
      them). *)
@@ -638,7 +638,7 @@ let execute ?env t path ~i ~j ~dir probes =
   Storage.Stats.begin_op env.Core.Exec.stats;
   try run_exn ~env t c.chosen ~dir probes
   with Stale_plan ->
-    Array.iter (fun _ -> Storage.Stats.note_fallback env.Core.Exec.stats) probes;
+    Array.iter (fun _ -> Storage.Stats.note env.Core.Exec.stats Fallback) probes;
     invalidate_plans t;
     run_exn ~env t (live_plan path ~i ~j dir) ~dir probes
 

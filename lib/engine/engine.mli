@@ -48,8 +48,6 @@
 module Plan : sig
   type dir = Core.Exec.dir = Fwd | Bwd
 
-  val dir_to_string : dir -> string
-
   (** One partition visit of a stitch ({!Core.Exec.step}). *)
   type step = Core.Exec.step =
     | Lookup of { part : int; enter : int }
@@ -68,7 +66,6 @@ module Plan : sig
         steps : step list;
       }  (** Prefix/suffix stitch across the index's decomposition. *)
 
-  val step_to_string : step -> string
   val to_string : t -> string
 end
 
@@ -116,7 +113,7 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
     visited partition the oracle calls healthy, cached plans through
     now-unhealthy indexes are re-planned, and the execution guards
     refuse stale stitches.  When a usable index is priced out this way
-    the degradation is recorded via {!Storage.Stats.note_fallback} on
+    the degradation is recorded via {!Storage.Stats.Fallback} on
     the environment's stats.  Bumps the generation. *)
 
 (* {2 Freshness watermark} *)
@@ -128,10 +125,10 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
 
     - [Catch_up] (the default): drain the index's buffers on first use
       ({!Core.Asr.flush}, charged to the querying operation's stats and
-      recorded via {!Storage.Stats.note_catchup_flush});
+      recorded via {!Storage.Stats.Catchup_flush});
     - [Degrade]: refuse the stale index — the planner prices it out and
       a cached plan degrades to navigation / extent scan (recorded via
-      {!Storage.Stats.note_freshness_degradation}), leaving the flush
+      {!Storage.Stats.Freshness_degradation}), leaving the flush
       to the maintenance manager's own policy. *)
 type freshness_mode = Catch_up | Degrade
 
@@ -214,7 +211,7 @@ val forward :
 (** Plan (cached) and execute as one accounting operation.  If a
     concurrent [unregister] or health change invalidates the chosen
     stitch mid-flight, execution degrades to graph navigation (recorded
-    via {!Storage.Stats.note_fallback}) instead of failing. *)
+    via {!Storage.Stats.Fallback}) instead of failing. *)
 
 val backward :
   ?env:Core.Exec.env ->

@@ -100,7 +100,7 @@ let classify ~part missing phantom =
   @ List.rev !paired
 
 let audit_partition ?stats index truth ~part ~sample =
-  (match stats with Some st -> Storage.Stats.note_scrub st | None -> ());
+  (match stats with Some st -> Storage.Stats.note st Scrub | None -> ());
   let lo, hi = Core.Asr.partition_bounds index part in
   let cols = List.init (hi - lo + 1) (fun k -> lo + k) in
   let shared = Core.Asr.partition_shared index part in
@@ -161,7 +161,7 @@ let run ?deadline ?fault ?sample ?stats index =
   if Core.Asr.pending_deltas index > 0 then begin
     ignore (Core.Asr.flush ?stats index);
     match stats with
-    | Some st -> Storage.Stats.note_catchup_flush st
+    | Some st -> Storage.Stats.note st Catchup_flush
     | None -> ()
   end;
   let truth =

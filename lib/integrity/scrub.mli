@@ -49,7 +49,7 @@ val run :
   report
 (** Audit every partition.  [?sample:k] restricts the audit to the
     deterministic 1-in-[k] OID sample (presence checks only).  Each
-    partition audited is counted via {!Storage.Stats.note_scrub} and as
+    partition audited is counted via {!Storage.Stats.Scrub} and as
     one logical read against [?fault] — transient read faults are
     absorbed by bounded retry with deterministic backoff.  [?deadline]
     is checked between partition audits, so a background scrub yields

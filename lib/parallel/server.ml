@@ -208,7 +208,7 @@ let serve_deadlined ?snapshot t entries =
                  ~targets:q_targets))
       with
       | Core.Deadline.Expired ->
-        Storage.Stats.note_timed_out env.Core.Exec.stats;
+        Storage.Stats.note env.Core.Exec.stats Timed_out;
         Timed_out
       | e -> Failed (Printexc.to_string e)
     in

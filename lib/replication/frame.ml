@@ -11,9 +11,6 @@ type payload =
 type t = { seq : int; payload : payload }
 type error = { at : int; reason : string }
 
-let error_to_string e =
-  Printf.sprintf "frame error at byte %d: %s" e.at e.reason
-
 (* ---------------- encoding ---------------- *)
 
 let body_of_payload = function

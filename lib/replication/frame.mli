@@ -43,7 +43,6 @@ type error = { at : int; reason : string }
 (** A decode failure, located at the byte offset (within the encoded
     frame) where trust ended. *)
 
-val error_to_string : error -> string
 val encode : t -> string
 
 val decode : string -> (t, error) result

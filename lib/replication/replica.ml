@@ -71,20 +71,6 @@ type reject =
 
 type outcome = Applied of { groups : int; records : int } | Rejected of reject
 
-let reject_to_string = function
-  | Bad_frame { at; reason } ->
-    Printf.sprintf "damaged frame (at byte %d: %s)" at reason
-  | Stale { expected; got } ->
-    Printf.sprintf "stale frame %d (expecting %d)" got expected
-  | Gap { expected; got } ->
-    Printf.sprintf "sequence gap: got %d, expecting %d" got expected
-  | Wrong_gen { expected; got } ->
-    Printf.sprintf "wrong generation %d (replica holds %d)" got expected
-  | Misaligned { expected; got } ->
-    Printf.sprintf "misaligned slice at byte %d (log stands at %d)" got expected
-  | Diverged { off; what } ->
-    Printf.sprintf "diverged at byte %d: %s" off what
-
 let write_marker t =
   atomic_write (marker_file t.r_dir)
     (Printf.sprintf "%s\ngen %d\n" marker_header t.gen)
@@ -200,7 +186,7 @@ let create ?fault ?stats ?(policy = Core.Maintenance.Every_k_events 32)
 
 exception Bail of reject
 
-let note f t = match t.stats with Some s -> f s | None -> ()
+let note t c = match t.stats with Some s -> Storage.Stats.note s c | None -> ()
 
 let diverge t ~off what =
   t.r_diverged <- Some (Printf.sprintf "byte %d: %s" off what);
@@ -368,8 +354,8 @@ let offer t encoded =
     with Bail r -> Rejected r
   in
   (match result with
-  | Applied _ -> note Storage.Stats.note_frame_applied t
-  | Rejected _ -> note Storage.Stats.note_frame_retried t);
+  | Applied _ -> note t Frame_applied
+  | Rejected _ -> note t Frame_retried);
   result
 
 (* ---------------- observation ---------------- *)

@@ -50,8 +50,7 @@ val create :
     replica, or resume finds unrecoverable damage. *)
 
 (** Why a frame was refused.  Every constructor is byte- or
-    sequence-located; {!reject_to_string} renders the message the CLI
-    prints. *)
+    sequence-located. *)
 type reject =
   | Bad_frame of { at : int; reason : string }
       (** frame decode/CRC failure (transport damage) *)
@@ -72,8 +71,6 @@ type outcome =
       (** accepted; [groups] committed groups ([records] mutations)
           entered the store *)
   | Rejected of reject
-
-val reject_to_string : reject -> string
 
 val offer : t -> string -> outcome
 (** Feed one encoded frame off the channel.  [Applied] advances the

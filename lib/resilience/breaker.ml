@@ -92,7 +92,7 @@ let call ?stats t f =
         | Some _ -> false)
   in
   if not admitted then begin
-    (match stats with Some s -> Storage.Stats.note_breaker_open s | None -> ());
+    (match stats with Some s -> Storage.Stats.note s Breaker_open | None -> ());
     Error `Open
   end
   else begin

@@ -127,7 +127,7 @@ let resolve t ticket outcome =
   Condition.broadcast t.settled
 
 let shed_locked t ticket reason =
-  Storage.Stats.note_shed t.stats;
+  Storage.Stats.note t.stats Shed;
   resolve t ticket (Shed reason)
 
 let submit ?(client = "anon") ?deadline_s t query =
@@ -247,13 +247,13 @@ let pump t =
                timeout is counted on the front's sheaf (mid-query
                expiries are counted by serve_deadlined on the worker
                sheaf — each timeout is counted exactly once). *)
-            Storage.Stats.note_timed_out t.stats;
+            Storage.Stats.note t.stats Timed_out;
             resolve t e.e_ticket Timeout)
           dead);
     if live <> [] then begin
       if Server.lag t.server > 0 then
         Mutex.protect t.lock (fun () ->
-            List.iter (fun _ -> Storage.Stats.note_stale_epoch_served t.stats) live);
+            List.iter (fun _ -> Storage.Stats.note t.stats Stale_epoch_served) live);
       let entries =
         List.map
           (fun e ->

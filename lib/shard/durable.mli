@@ -37,9 +37,6 @@ exception Shard_error of string
 val shards_file : string -> string
 (** [dir]'s cross-shard manifest path. *)
 
-val shard_dir : string -> int -> string
-(** [shard_dir dir k] — shard [k]'s private Db directory. *)
-
 type t
 
 val create :

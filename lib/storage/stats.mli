@@ -57,7 +57,7 @@ val prefetch : t -> int list -> unit
 (** Stage pages into the pool speculatively (B+-tree leaf chains ahead
     of a range scan, extent pages ahead of a scan).  Pages not already
     resident are charged as physical reads {e now} (and counted in
-    {!prefetched}); the first later demand read of such a page is a
+    [s_prefetched]); the first later demand read of such a page is a
     {e prefetch hit} — free of further I/O, but counted as miss-like
     for warmth, so an operation prefetching its own scan does not
     inflate its hit ratio.  At most pool-capacity pages are staged
@@ -94,13 +94,9 @@ val total_reads : t -> int
 
 val total_writes : t -> int
 
-val total_accesses : t -> int
-
 val op_logical_reads : t -> int
 (** Distinct pages requested since the last {!begin_op}, hits
     included. *)
-
-val op_logical_writes : t -> int
 
 val logical_reads : t -> int
 (** Cumulative logical reads — identical across buffer capacities,
@@ -113,9 +109,6 @@ val buffer_hits : t -> int
 
 val buffer_misses : t -> int
 val buffer_evictions : t -> int
-
-val prefetched : t -> int
-(** Pages staged speculatively by {!prefetch} (each one physical). *)
 
 val prefetch_hits : t -> int
 (** Demand reads served by a previously prefetched frame. *)
@@ -132,138 +125,72 @@ val segment_hit_ratio : t -> string -> float option
     or when the segment has no accesses yet).  This is the signal the
     planner's buffer-aware pricing scales page costs by. *)
 
-(** {2 Integrity counters}
+(** {2 Event counters}
 
-    Cumulative robustness counters, recorded alongside page traffic so
-    benchmark trajectories show how often the degraded paths fire:
-    partition scrub audits performed, planner degradations forced by a
-    quarantined access support relation, and transient-fault retries. *)
+    Cumulative counts of the events that are not page traffic, recorded
+    alongside it so benchmark trajectories show how often degraded and
+    exceptional paths fire.  Each counter is a constructor here and one
+    row of the module's counter table, which fixes its JSON key. *)
 
-val note_scrub : t -> unit
-(** Record one partition audit by the integrity scrubber. *)
+type counter =
+  | Scrub  (** one partition audit by the integrity scrubber *)
+  | Fallback
+      (** one degraded planning decision: a quarantined index was
+          excluded and the planner fell back to navigation, an extent
+          scan or an alternate index *)
+  | Retry  (** one bounded retry of a transiently failing read *)
+  | Delta_buffered
+      (** one typed delta (+tuple/−tuple for one partition) entering a
+          write-behind maintenance buffer *)
+  | Delta_merged
+      (** one delta that coalesced with a pending delta on the same
+          projected tuple (refcount deltas summed; net still non-zero) *)
+  | Delta_annihilated
+      (** one pending delta whose net refcount reached zero, so the pair
+          vanished without touching a page *)
+  | Delta_flushed  (** one net delta applied to partition trees by a flush *)
+  | Catchup_flush
+      (** one catch-up flush forced by the planner's freshness watermark
+          (or an integrity audit) before using a stale index *)
+  | Freshness_degradation
+      (** one planning decision that refused a stale index and degraded
+          to navigation / extent scan instead of flushing *)
+  | Shed
+      (** one query rejected by admission control (bounded-queue
+          overflow under any shed policy, or a per-client rate limit) *)
+  | Timed_out
+      (** one query whose deadline expired, either while queued or at a
+          cooperative cancellation checkpoint mid-evaluation *)
+  | Breaker_open  (** one call short-circuited by an open circuit breaker *)
+  | Stale_epoch_served
+      (** one query answered from the previous published epoch while
+          brownout mode defers snapshot publication (bounded staleness) *)
+  | Frame_shipped
+      (** one encoded replication frame handed to the channel (per copy:
+          a duplicated delivery counts twice) *)
+  | Frame_applied  (** one delivered frame the replica verified and applied *)
+  | Frame_dropped  (** one frame copy lost in flight or discarded at teardown *)
+  | Frame_retried
+      (** one delivered frame the replica rejected (stale or duplicate
+          sequence, CRC damage, gap), obliging the primary to rewind and
+          resend.  At quiescence [shipped = applied + dropped + retried]
+          balances exactly; the CI failover gate checks it. *)
+  | Shard_grouped
+      (** one batch the scatter-gather router dispatched with probes
+          grouped by owner shard (each probe answered exactly once) *)
+  | Shard_scatter
+      (** one batch fanned to every shard, answers unioned.  [grouped +
+          scatter] equals the number of routed batches. *)
 
-val note_fallback : t -> unit
-(** Record one degraded planning decision: a quarantined index was
-    excluded and the planner fell back to navigation, an extent scan or
-    an alternate index. *)
-
-val note_retry : t -> unit
-(** Record one bounded retry of a transiently failing read. *)
-
-val scrubs : t -> int
-val fallbacks : t -> int
-val retries : t -> int
-
-(** {2 Deferred-maintenance counters}
-
-    Trajectory counters for the write-behind maintenance pipeline: how
-    many typed deltas entered the buffers, how often buffering coalesced
-    or outright annihilated work before it ever touched a page, how many
-    net deltas were eventually applied by bulk flushes, and how often
-    the planner's freshness watermark fired. *)
-
-val note_delta_buffered : t -> unit
-(** Record one typed delta (+tuple/−tuple for one partition) entering a
-    write-behind buffer. *)
-
-val note_delta_merged : t -> unit
-(** Record one delta that coalesced with a pending delta on the same
-    projected tuple (refcount deltas summed; net still non-zero). *)
-
-val note_delta_annihilated : t -> unit
-(** Record one annihilation: a pending delta's net refcount reached
-    zero, so the pair vanished without touching a page. *)
-
-val note_deltas_flushed : t -> int -> unit
-(** Record [n] net deltas applied to partition trees by a flush. *)
-
-val note_catchup_flush : t -> unit
-(** Record one catch-up flush forced by the planner's freshness
-    watermark (or an integrity audit) before using a stale index. *)
-
-val note_freshness_degradation : t -> unit
-(** Record one planning decision that refused a stale index and
-    degraded to navigation / extent scan instead of flushing. *)
-
-val deltas_buffered : t -> int
-val deltas_merged : t -> int
-val deltas_annihilated : t -> int
-val deltas_flushed : t -> int
-val catchup_flushes : t -> int
-val freshness_degradations : t -> int
-
-(** {2 Overload counters}
-
-    Resilience-layer counters: every query turned away or cut short by
-    admission control is visible here, so overload behaviour can be
-    audited next to page traffic ({e offered = answered + shed +
-    timed_out} is checked by the serving benchmark gate). *)
-
-val note_shed : t -> unit
-(** Record one query rejected by admission control (bounded-queue
-    overflow under any shed policy, or a per-client rate limit). *)
-
-val note_timed_out : t -> unit
-(** Record one query whose deadline expired — either while queued or at
-    a cooperative cancellation checkpoint mid-evaluation. *)
-
-val note_breaker_open : t -> unit
-(** Record one call short-circuited by an open circuit breaker. *)
-
-val note_stale_epoch_served : t -> unit
-(** Record one query answered from the previous published epoch while
-    brownout mode defers snapshot publication (bounded staleness). *)
-
-val shed : t -> int
-val timed_out : t -> int
-val breaker_open : t -> int
-val stale_epoch_served : t -> int
-
-(** {2 Replication counters}
-
-    Frame accounting for the WAL-shipping channel.  Every encoded frame
-    put on the wire counts as shipped (a duplicated delivery counts
-    twice — two copies travelled); each delivered copy is then either
-    applied by the replica, dropped in flight or at teardown, or
-    rejected and retried (stale/duplicate sequence, CRC damage, gap).
-    At quiescence {e shipped = applied + dropped + retried} balances
-    exactly; the CI failover gate checks it. *)
-
-val note_frame_shipped : t -> unit
-(** Record one encoded frame handed to the channel (per copy). *)
-
-val note_frame_applied : t -> unit
-(** Record one delivered frame the replica verified and applied. *)
-
-val note_frame_dropped : t -> unit
-(** Record one frame copy lost in flight or discarded at teardown. *)
-
-val note_frame_retried : t -> unit
-(** Record one delivered frame the replica rejected, obliging the
-    primary to rewind and resend. *)
-
-val frames_shipped : t -> int
-val frames_applied : t -> int
-val frames_dropped : t -> int
-val frames_retried : t -> int
-
-(** {2 Shard-routing counters}
-
-    One count per batch the scatter-gather router dispatches: {e
-    grouped} batches partition their probes by owner shard (each probe
-    answered exactly once), {e scattered} ones fan every probe to every
-    shard and union the answers.  [grouped + scatter] equals the number
-    of routed batches — the shard regression tests check the balance. *)
-
-val note_shard_grouped : t -> unit
-(** Record one batch routed with probes grouped by owner shard. *)
-
-val note_shard_scatter : t -> unit
-(** Record one batch scattered to every shard. *)
+val note : ?n:int -> t -> counter -> unit
+(** [note t c] adds one (or [n]) to counter [c]. *)
 
 val reset : t -> unit
 (** Clears everything, including totals, segment tallies and the buffer
     pool. *)
+
+type counts
+(** Immutable event counts of a {!summary}. *)
 
 type summary = {
   s_op_reads : int;
@@ -278,30 +205,15 @@ type summary = {
   s_prefetched : int;
   s_prefetch_hits : int;
   s_buffer_capacity : int;
-  s_scrubs : int;
-  s_fallbacks : int;
-  s_retries : int;
-  s_deltas_buffered : int;
-  s_deltas_merged : int;
-  s_deltas_annihilated : int;
-  s_deltas_flushed : int;
-  s_catchup_flushes : int;
-  s_freshness_degradations : int;
-  s_shed : int;
-  s_timed_out : int;
-  s_breaker_open : int;
-  s_stale_epoch_served : int;
-  s_frames_shipped : int;
-  s_frames_applied : int;
-  s_frames_dropped : int;
-  s_frames_retried : int;
-  s_shard_grouped : int;
-  s_shard_scatter : int;
+  s_counts : counts;  (** The event counters; read with {!count}. *)
 }
 (** A point-in-time copy of every counter, decoupled from the live
     [t] (which keeps mutating). *)
 
 val snapshot : t -> summary
+
+val count : summary -> counter -> int
+(** [count s c] is counter [c]'s cumulative value in [s]. *)
 
 val merge : summary -> summary -> summary
 (** Field-wise sum of two summaries ([s_buffer_capacity] takes the
@@ -320,7 +232,7 @@ val zero : summary
 val absorb : t -> summary -> unit
 (** Fold a (worker sheaf) summary into this accountant's {e cumulative}
     counters: totals (physical and logical), buffer hit/miss/eviction/
-    prefetch tallies and integrity counters are added; the
+    prefetch tallies and event counters are added; the
     per-operation counters and the buffer pool are untouched. *)
 
 val summary_hit_ratio : summary -> float

@@ -203,7 +203,7 @@ let quarantine_forces_replanning () =
   let degraded_choice = Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Fwd in
   check "degraded planner avoids the quarantined index" true
     (not (uses_stitch degraded_choice.Engine.chosen));
-  check "fallback counted" true (Storage.Stats.fallbacks env.E.stats > 0);
+  check "fallback counted" true (Storage.Stats.count (Storage.Stats.snapshot env.E.stats) Fallback > 0);
   Quarantine.lift registry a;
   check "lift clears every entry" true (not (Quarantine.asr_quarantined registry a));
   let restored_choice = Engine.choose engine path ~i:0 ~j:n ~dir:Engine.Plan.Fwd in
@@ -377,9 +377,9 @@ let scrub_absorbs_transient () =
   let f = Fault.faulty_reads { Fault.fail_at_read = 1; fault = Fault.Transient 2 } in
   let r = Scrub.run ~fault:f ~stats a in
   check "scrub clean despite transient faults" true (Scrub.clean r);
-  check_int "retries surfaced in the counters" 2 (Storage.Stats.retries stats);
+  check_int "retries surfaced in the counters" 2 (Storage.Stats.count (Storage.Stats.snapshot stats) Retry);
   check "scrubbed partitions counted" true
-    (Storage.Stats.scrubs stats >= Core.Asr.partition_count a)
+    (Storage.Stats.count (Storage.Stats.snapshot stats) Scrub >= Core.Asr.partition_count a)
 
 (* ---------------- durable snapshot loads under read faults -------- *)
 
@@ -508,20 +508,20 @@ let crash_sweep_repair () =
 
 let counters_in_json_summary () =
   let stats = Storage.Stats.create () in
-  Storage.Stats.note_scrub stats;
-  Storage.Stats.note_fallback stats;
-  Storage.Stats.note_retry stats;
-  Storage.Stats.note_retry stats;
+  Storage.Stats.note stats Scrub;
+  Storage.Stats.note stats Fallback;
+  Storage.Stats.note stats Retry;
+  Storage.Stats.note stats Retry;
   let s = Storage.Stats.snapshot stats in
-  check_int "scrub counter" 1 s.Storage.Stats.s_scrubs;
-  check_int "fallback counter" 1 s.Storage.Stats.s_fallbacks;
-  check_int "retry counter" 2 s.Storage.Stats.s_retries;
+  check_int "scrub counter" 1 (Storage.Stats.count s Scrub);
+  check_int "fallback counter" 1 (Storage.Stats.count s Fallback);
+  check_int "retry counter" 2 (Storage.Stats.count s Retry);
   let json = Storage.Stats.summary_to_json s in
   check "json has scrubs" true (contains json "\"scrubs\": 1");
   check "json has fallbacks" true (contains json "\"fallbacks\": 1");
   check "json has retries" true (contains json "\"retries\": 2");
   Storage.Stats.reset stats;
-  check_int "reset zeroes scrubs" 0 (Storage.Stats.scrubs stats)
+  check_int "reset zeroes scrubs" 0 (Storage.Stats.count (Storage.Stats.snapshot stats) Scrub)
 
 (* ---------------- the acceptance property ---------------- *)
 

@@ -26,6 +26,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let vset vs = List.sort_uniq V.compare vs
+let counted stats c = Storage.Stats.count (Storage.Stats.snapshot stats) c
 
 (* CI fuzz counts: the maintenance-fuzz job raises the oracle property
    to 200 iterations via ASR_MAINT_COUNT; the run seed is printed by
@@ -216,10 +217,10 @@ let test_annihilation_writes_nothing () =
   let stats = env.E.stats in
   Gom.Store.insert_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
   check "insert buffers deltas" true (Core.Asr.pending_deltas a > 0);
-  check "buffered counted" true (Storage.Stats.deltas_buffered stats > 0);
+  check "buffered counted" true (counted stats Delta_buffered > 0);
   Gom.Store.remove_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
   check_int "insert+remove annihilate completely" 0 (Core.Asr.pending_deltas a);
-  check "annihilations counted" true (Storage.Stats.deltas_annihilated stats > 0);
+  check "annihilations counted" true (counted stats Delta_annihilated > 0);
   let w0 = (Storage.Stats.snapshot stats).Storage.Stats.s_total_writes in
   check_int "flush applies nothing" 0 (M.flush_all mgr);
   check_int "flush writes no pages" w0
@@ -277,7 +278,7 @@ let test_watermark_catchup_and_degrade () =
      counts a catch-up flush; the answer equals the scan oracle. *)
   let r1 = Engine.forward engine path ~i:0 ~j:n src in
   check_int "catch-up drained" 0 (Core.Asr.pending_deltas a);
-  check "catch-up counted" true (Storage.Stats.catchup_flushes stats > 0);
+  check "catch-up counted" true (counted stats Catchup_flush > 0);
   check "catch-up answer = oracle" true
     (vset r1 = vset (E.forward_scan env path ~i:0 ~j:n src));
   (* Degrade: new pending deltas make the planner refuse the index; the
@@ -286,7 +287,7 @@ let test_watermark_catchup_and_degrade () =
   Gom.Store.remove_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
   check "pending again" true (Core.Asr.pending_deltas a > 0);
   let r2 = Engine.forward engine path ~i:0 ~j:n src in
-  check "degradation counted" true (Storage.Stats.freshness_degradations stats > 0);
+  check "degradation counted" true (counted stats Freshness_degradation > 0);
   check "degrade leaves buffers pending" true (Core.Asr.pending_deltas a > 0);
   check "degraded answer = oracle" true
     (vset r2 = vset (E.forward_scan env path ~i:0 ~j:n src))
@@ -306,9 +307,9 @@ let test_stats_counters_in_summary () =
   let flushed = M.flush_all mgr in
   check "flush applied deltas" true (flushed > 0);
   check_int "flushed counter equals applied" flushed
-    (Storage.Stats.deltas_flushed stats);
+    (counted stats Delta_flushed);
   check "buffered >= flushed" true
-    (Storage.Stats.deltas_buffered stats >= Storage.Stats.deltas_flushed stats);
+    (counted stats Delta_buffered >= counted stats Delta_flushed);
   check_int "nothing pending" 0 (Core.Asr.pending_deltas a);
   let json = Storage.Stats.summary_to_json (Storage.Stats.snapshot stats) in
   List.iter
@@ -322,14 +323,14 @@ let test_stats_counters_in_summary () =
       "freshness_degradations";
     ];
   let s = Storage.Stats.snapshot stats in
-  check_int "summary mirrors buffered" (Storage.Stats.deltas_buffered stats)
-    s.Storage.Stats.s_deltas_buffered;
-  check_int "summary mirrors flushed" flushed s.Storage.Stats.s_deltas_flushed;
+  check_int "summary mirrors buffered" (counted stats Delta_buffered)
+    (Storage.Stats.count s Delta_buffered);
+  check_int "summary mirrors flushed" flushed (Storage.Stats.count s Delta_flushed);
   (* merge and reset round the counters through the summary algebra *)
   let doubled = Storage.Stats.merge s s in
-  check_int "merge sums flushed" (2 * flushed) doubled.Storage.Stats.s_deltas_flushed;
+  check_int "merge sums flushed" (2 * flushed) (Storage.Stats.count doubled Delta_flushed);
   Storage.Stats.reset stats;
-  check_int "reset clears buffered" 0 (Storage.Stats.deltas_buffered stats)
+  check_int "reset clears buffered" 0 (counted stats Delta_buffered)
 
 (* ---------------- deferred = immediate oracle (satellite 3) -------- *)
 
@@ -455,7 +456,7 @@ let test_scrub_flushes_pending () =
   check "pending deltas are not divergence" true (Integrity.Scrub.clean r);
   check_int "scrub drained the buffers" 0 (Core.Asr.pending_deltas a);
   check "drain counted as catch-up" true
-    (Storage.Stats.catchup_flushes env.E.stats > 0)
+    (counted env.E.stats Catchup_flush > 0)
 
 (* ---------------- WAL flush groups + crash sweep ------------------- *)
 

@@ -441,25 +441,73 @@ let test_plan_cache_stress () =
 
 (* ---------------- accounting sheaves ---------------- *)
 
-let test_stats_algebra () =
-  let s1 =
-    { Storage.Stats.zero with s_total_reads = 3; s_buffer_hits = 2; s_fallbacks = 1 }
+let counters =
+  Storage.Stats.
+    [
+      Scrub; Fallback; Retry; Delta_buffered; Delta_merged; Delta_annihilated;
+      Delta_flushed; Catchup_flush; Freshness_degradation; Shed; Timed_out;
+      Breaker_open; Stale_epoch_served; Frame_shipped; Frame_applied;
+      Frame_dropped; Frame_retried; Shard_grouped; Shard_scatter;
+    ]
+
+(* A random accounting stream over pool capacity [cap], each event
+   tagged with the sheaf (0..2) that sees it.  Merging the three
+   sheaves' snapshots is a commutative monoid, and absorbing them equals
+   one accountant that saw the three streams one after another.  Pools
+   are private per sheaf, so physical reads only line up unbuffered;
+   logical traffic and event counters always do. *)
+let prop_stats_algebra =
+  let event =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun p -> `Read p) (int_bound 5));
+          (2, map (fun p -> `Write p) (int_bound 5));
+          (1, return `Begin);
+          (2, map2 (fun c n -> `Note (c, n)) (oneofl counters) (int_range 1 3));
+        ])
   in
-  let s2 = { Storage.Stats.zero with s_total_reads = 4; s_total_writes = 5; s_scrubs = 2 } in
-  let m = Storage.Stats.merge s1 s2 in
-  check_int "merge sums reads" 7 m.Storage.Stats.s_total_reads;
-  check_int "merge sums writes" 5 m.s_total_writes;
-  check_int "merge sums hits" 2 m.s_buffer_hits;
-  check_int "merge sums integrity" 3 (m.s_scrubs + m.s_fallbacks);
-  check "merge commutes" true (Storage.Stats.merge s2 s1 = m);
-  check "zero is unit" true
-    (Storage.Stats.merge Storage.Stats.zero s1 = s1
-    && Storage.Stats.merge s1 Storage.Stats.zero = s1);
-  let t = Storage.Stats.create () in
-  Storage.Stats.absorb t m;
-  let snap = Storage.Stats.snapshot t in
-  check_int "absorb folds totals" 7 snap.s_total_reads;
-  check_int "absorb folds writes" 5 snap.s_total_writes
+  let gen =
+    QCheck.Gen.(pair (int_bound 3) (list_size (int_bound 60) (pair (int_bound 2) event)))
+  in
+  let print (cap, evs) = Printf.sprintf "cap %d, %d events" cap (List.length evs) in
+  QCheck.Test.make ~name:"stats merge algebra" ~count:300 (QCheck.make ~print gen)
+    (fun (cap, evs) ->
+      let module S = Storage.Stats in
+      let feed st k =
+        S.begin_op st;
+        List.iter
+          (fun (j, ev) ->
+            if j = k then
+              match ev with
+              | `Read p -> S.read st p
+              | `Write p -> S.write st p
+              | `Begin -> S.begin_op st
+              | `Note (c, n) -> S.note ~n st c)
+          evs
+      in
+      let sheaf k =
+        let st = S.create ~buffer_capacity:cap () in
+        feed st k;
+        S.snapshot st
+      in
+      let a = sheaf 0 and b = sheaf 1 and c = sheaf 2 in
+      let whole = S.create ~buffer_capacity:cap () in
+      List.iter (feed whole) [ 0; 1; 2 ];
+      let want = S.snapshot whole in
+      let acc = S.create () in
+      List.iter (S.absorb acc) [ a; b; c ];
+      let got = S.snapshot acc in
+      S.merge a b = S.merge b a
+      && S.merge (S.merge a b) c = S.merge a (S.merge b c)
+      && S.merge S.zero a = a
+      && S.merge a S.zero = a
+      && got.s_logical_reads = want.s_logical_reads
+      && got.s_logical_writes = want.s_logical_writes
+      && List.for_all (fun k -> S.count got k = S.count want k) counters
+      && (cap > 0
+         || (got.s_total_reads = want.s_total_reads
+            && got.s_total_writes = want.s_total_writes)))
 
 (* The server's merged accounting equals the sequential sum over the
    same chunk decomposition: parallel fan-out loses or double-counts
@@ -500,7 +548,8 @@ let test_stats_sheaves_sum () =
   check_int "reads: parallel merge = sequential sum" seq.Storage.Stats.s_total_reads
     par.Storage.Stats.s_total_reads;
   check_int "writes: parallel merge = sequential sum" seq.s_total_writes par.s_total_writes;
-  check_int "fallbacks: parallel merge = sequential sum" seq.s_fallbacks par.s_fallbacks
+  check_int "fallbacks: parallel merge = sequential sum"
+    (Storage.Stats.count seq Fallback) (Storage.Stats.count par Fallback)
 
 let suite =
   [
@@ -518,6 +567,6 @@ let suite =
     Alcotest.test_case "update republishes exactly on mutation" `Quick
       test_update_republishes;
     Alcotest.test_case "plan cache survives 4-domain churn" `Slow test_plan_cache_stress;
-    Alcotest.test_case "stats merge algebra" `Quick test_stats_algebra;
+    Qc.to_alcotest prop_stats_algebra;
     Alcotest.test_case "parallel sheaves = sequential sum" `Quick test_stats_sheaves_sum;
   ]

@@ -179,9 +179,9 @@ let assert_counters_balanced ctx stats =
   let s = Storage.Stats.snapshot stats in
   check_int
     (ctx ^ ": frames shipped = applied + dropped + retried")
-    s.Storage.Stats.s_frames_shipped
-    (s.Storage.Stats.s_frames_applied + s.Storage.Stats.s_frames_dropped
-   + s.Storage.Stats.s_frames_retried)
+    (Storage.Stats.count s Frame_shipped)
+    (Storage.Stats.count s Frame_applied + Storage.Stats.count s Frame_dropped
+   + Storage.Stats.count s Frame_retried)
 
 (* ---------------- basic catch-up ---------------- *)
 
@@ -275,18 +275,17 @@ let fault_cases =
       [ { Fault.fail_at_frame = 2; channel_fault = Fault.Drop_frame } ]
       (fun rig ->
         let s = Storage.Stats.snapshot rig.g_stats in
-        check "the drop was counted" true (s.Storage.Stats.s_frames_dropped >= 1);
+        check "the drop was counted" true (Storage.Stats.count s Frame_dropped >= 1);
         check "loss surfaced as a retry" true
-          (s.Storage.Stats.s_frames_retried >= 1));
+          (Storage.Stats.count s Frame_retried >= 1));
     fault_case "duplicate rejected as stale"
       [ { Fault.fail_at_frame = 2; channel_fault = Fault.Dup_frame } ]
       (fun rig ->
         let s = Storage.Stats.snapshot rig.g_stats in
         check "second copy counted shipped" true
-          (s.Storage.Stats.s_frames_shipped
-          > s.Storage.Stats.s_frames_applied);
+          (Storage.Stats.count s Frame_shipped > Storage.Stats.count s Frame_applied);
         check "second copy counted retried" true
-          (s.Storage.Stats.s_frames_retried >= 1));
+          (Storage.Stats.count s Frame_retried >= 1));
     fault_case "reorder rewinds and reconciles"
       [ { Fault.fail_at_frame = 2; channel_fault = Fault.Reorder_frames } ]
       (fun _ -> ());
@@ -295,7 +294,7 @@ let fault_cases =
       (fun rig ->
         let s = Storage.Stats.snapshot rig.g_stats in
         check "damaged frame counted retried" true
-          (s.Storage.Stats.s_frames_retried >= 1));
+          (Storage.Stats.count s Frame_retried >= 1));
     fault_case "partition trips the breaker, then reconnects"
       [ { Fault.fail_at_frame = 2; channel_fault = Fault.Partition 4 } ]
       (fun rig ->

@@ -368,20 +368,20 @@ let test_quarantine_degrades_one_shard () =
       Array.iteri
         (fun k (s : Storage.Stats.summary) ->
           if k = victim then
-            check "victim recorded fallbacks" true (s.Storage.Stats.s_fallbacks > 0)
+            check "victim recorded fallbacks" true (Storage.Stats.count s Fallback > 0)
           else
             check_int
               (Printf.sprintf "shard %d clean" k)
-              0 s.Storage.Stats.s_fallbacks)
+              0 (Storage.Stats.count s Fallback))
         (G.shard_summaries grp);
       (* The router's own ledger balances: one grouped batch plus one
          scattered batch were routed, and the merged accountant carries
          both alongside the victim's fallbacks. *)
       let total = G.stats_summary grp in
-      check_int "one grouped batch" 1 total.Storage.Stats.s_shard_grouped;
-      check_int "one scattered batch" 1 total.Storage.Stats.s_shard_scatter;
+      check_int "one grouped batch" 1 (Storage.Stats.count total Shard_grouped);
+      check_int "one scattered batch" 1 (Storage.Stats.count total Shard_scatter);
       check "merged accountant keeps the fallbacks" true
-        (total.Storage.Stats.s_fallbacks > 0))
+        (Storage.Stats.count total Fallback > 0))
 
 (* ---------------- per-shard durability ---------------- *)
 

@@ -236,7 +236,7 @@ let test_stats_prefetch_accounting () =
   S.begin_op st;
   S.prefetch st [ 1; 2 ];
   check_int "prefetch pays physical I/O now" 2 (S.total_reads st);
-  check_int "prefetched counted" 2 (S.prefetched st);
+  check_int "prefetched counted" 2 (S.snapshot st).S.s_prefetched;
   S.read st 1;
   check_int "demand read after prefetch is free" 2 (S.total_reads st);
   check_int "prefetch hit recorded" 1 (S.prefetch_hits st);
@@ -405,6 +405,41 @@ let prop_lookup_many_matches_scan =
       && BT.lookup_many ~stats t keys = expected
       && List.for_all (fun k -> BT.lookup t k = reference k) keys)
 
+(* Pins every key of [summary_to_json], its position and the counter
+   behind it: counter number k (in key order) is noted k+1 times, so
+   every counter's value differs and a swapped key changes the string.
+   The literal is the output of the hand-written per-counter summary
+   that the counter table replaced. *)
+let test_summary_json_golden () =
+  let st = S.create ~buffer_capacity:2 () in
+  S.begin_op st;
+  S.prefetch st [ 7; 8 ];
+  S.read st 7;
+  S.read st 1;
+  S.read st 2;
+  S.write st 3;
+  S.begin_op st;
+  S.read st 2;
+  S.read st 4;
+  S.write st 5;
+  S.write st 6;
+  List.iteri
+    (fun k c ->
+      for _ = 0 to k do
+        S.note st c
+      done)
+    S.
+      [
+        Scrub; Fallback; Retry; Delta_buffered; Delta_merged; Delta_annihilated;
+        Delta_flushed; Catchup_flush; Freshness_degradation; Shed; Timed_out;
+        Breaker_open; Stale_epoch_served; Frame_shipped; Frame_applied;
+        Frame_dropped; Frame_retried; Shard_grouped; Shard_scatter;
+      ];
+  Alcotest.(check string)
+    "summary JSON"
+    {|{"op_reads": 1, "op_writes": 2, "total_reads": 5, "total_writes": 3, "total_accesses": 8, "logical_reads": 5, "logical_writes": 3, "buffer_hits": 1, "buffer_misses": 3, "buffer_evictions": 6, "prefetched": 2, "prefetch_hits": 1, "buffer_hit_ratio": 0.2000, "buffer_capacity": 2, "scrubs": 1, "fallbacks": 2, "retries": 3, "deltas_buffered": 4, "deltas_merged": 5, "deltas_annihilated": 6, "deltas_flushed": 7, "catchup_flushes": 8, "freshness_degradations": 9, "shed": 10, "timed_out": 11, "breaker_open": 12, "stale_epoch_served": 13, "frames_shipped": 14, "frames_applied": 15, "frames_dropped": 16, "frames_retried": 17, "shard_grouped": 18, "shard_scatter": 19, "mode": "x"}|}
+    (S.summary_to_json ~extra:[ ("mode", {|"x"|}) ] (S.snapshot st))
+
 let suite =
   [
     Alcotest.test_case "config" `Quick test_config;
@@ -427,6 +462,7 @@ let suite =
     Alcotest.test_case "buffer segment namespacing" `Quick test_buffer_segment_namespacing;
     Alcotest.test_case "stats prefetch accounting" `Quick test_stats_prefetch_accounting;
     Alcotest.test_case "stats segment hit ratio" `Quick test_stats_segment_hit_ratio;
+    Alcotest.test_case "stats summary JSON golden" `Quick test_summary_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
     Alcotest.test_case "recluster slices and abort" `Quick test_recluster_slices_and_abort;
