@@ -1185,8 +1185,8 @@ let bench_sharded ~quick () =
     go [] [] 0 xs
   in
   let run shards =
-    (* Each variant rebuilds the (identical) base from the seed: shard
-       stores are clones of the build, so variants never share state. *)
+    (* Each variant rebuilds the (identical) base from the seed, so
+       variants never share state. *)
     let store, path = Workload.Generator.build spec in
     let n = Gom.Path.length path in
     let m = Gom.Path.arity path - 1 in

@@ -258,10 +258,10 @@ let compile_queries store texts =
         | q -> q))
     texts
 
-(* Sharded execution: the base is split into a shard group (shard 0
-   wraps the loaded store, the others are replicas carrying fragment
-   indexes), every query is evaluated on every shard's engine and the
-   per-shard row sets merge back into the unsharded answer. *)
+(* Sharded execution: a shard group over the loaded store (every shard
+   reads it, each carries its own index fragments), every query is
+   evaluated on every shard's engine and the per-shard row sets merge
+   back into the unsharded answer. *)
 let query_sharded base file path_spec index_spec flush_policy batch jobs shards texts =
   let store, _env, index_path = make_base base file path_spec in
   let grp =
@@ -278,7 +278,8 @@ let query_sharded base file path_spec index_spec flush_policy batch jobs shards 
         Shard.Group.register grp ~path:p ~kind ~dec
       | Some _, None -> exit_usage "--index over a file base requires --path");
       (match flush_policy with
-      | Some s -> Shard.Group.set_policy grp (parse_flush_policy s)
+      | Some s ->
+        Core.Maintenance.set_policy (Shard.Group.manager grp) (parse_flush_policy s)
       | None -> ());
       let compiled = compile_queries store texts in
       let results =
@@ -291,7 +292,8 @@ let query_sharded base file path_spec index_spec flush_policy batch jobs shards 
       in
       print_query_results batch results;
       Format.printf "shards: %d (jobs %d), %d pending delta(s)@." shards
-        (Shard.Group.jobs grp) (Shard.Group.pending grp);
+        (Shard.Group.jobs grp)
+        (Core.Maintenance.pending (Shard.Group.manager grp));
       if batch then begin
         let total = Shard.Group.stats_summary grp in
         Array.iteri
@@ -851,9 +853,8 @@ let with_db dir f =
   | db ->
     Fun.protect ~finally:(fun () -> Durability.Db.close db) (fun () -> f db)
 
-(* Sharded durable base: roll the per-shard Dbs up into one report —
-   generation, object count, pending deltas, fragment pages and the
-   content CRC the agreement gate compares. *)
+(* Sharded durable base: the one Db's generation and object count,
+   then each shard's fragment pages and buffered deltas. *)
 let db_shard_status dir =
   match Shard.Durable.open_ ~dir () with
   | exception Shard.Durable.Shard_error m -> exit_data m
@@ -865,30 +866,24 @@ let db_shard_status dir =
       (fun () ->
         let grp = Shard.Durable.group d in
         let n = Shard.Group.shards grp in
+        let store = Shard.Group.store grp in
         Format.printf "dir:        %s@." dir;
         Format.printf "shards:     %d (%s placement)@." n
           (Shard.Placement.to_string (Shard.Group.placement grp));
         Format.printf "asrs:       %d spec(s), fragmented %d-way@."
           (List.length (Shard.Durable.specs d)) n;
-        let gens = Shard.Durable.generations d in
-        let crcs = Shard.Durable.content_crc d in
+        Format.printf "generation: %d, %d object(s)@."
+          (Durability.Db.generation (Shard.Durable.db d))
+          (Gom.Store.fold_objects store ~init:0 ~f:(fun acc _ -> acc + 1));
         let pages = Shard.Group.total_pages grp in
-        Array.iteri
-          (fun k db ->
-            let store = Durability.Db.store db in
-            Format.printf
-              "  shard %d: generation %d, %d object(s), %d pending delta(s), %d \
-               fragment page(s), crc %08lx@."
-              k gens.(k)
-              (Gom.Store.fold_objects store ~init:0 ~f:(fun acc _ -> acc + 1))
-              (Core.Maintenance.pending (Shard.Group.manager grp k))
-              pages.(k) crcs.(k))
-          (Shard.Durable.dbs d);
-        let agree = Array.for_all (fun c -> Int32.equal c crcs.(0)) crcs in
-        Format.printf "agreement:  %s@."
-          (if agree then "content CRCs agree across all shards"
-           else "DIVERGED (reopen with reconciliation)");
-        if agree then 0 else 1)
+        for k = 0 to n - 1 do
+          Format.printf "  shard %d: %d fragment page(s), %d pending delta(s)@." k
+            pages.(k)
+            (List.fold_left
+               (fun acc a -> acc + Core.Asr.pending_deltas a)
+               0 (Shard.Group.asrs grp k))
+        done;
+        0)
 
 let db_shard_init dir base shards =
   let store, _, index_path = make_env base in
@@ -1274,11 +1269,12 @@ let query_t =
   in
   let shards =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Split the base into $(docv) shards (hash placement on the \
-                 clustering column; any $(b,--index) materialises as one \
+           ~doc:"Split the indexes into $(docv) shards (hash placement on \
+                 the clustering column; any $(b,--index) materialises as one \
                  owner-filtered fragment per shard) and answer each query by \
-                 scatter-gather: every shard evaluates it over its replica \
-                 and the merged rows equal the unsharded answer exactly.")
+                 scatter-gather: every shard evaluates it over the base with \
+                 its own fragments, and the merged rows equal the unsharded \
+                 answer exactly.")
   in
   let texts =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"QUERY"
@@ -1448,9 +1444,9 @@ let db_open_t =
   let shards =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
            ~doc:"Initialise an empty directory as a $(docv)-shard durable \
-                 base: one write-ahead-logged Db per shard plus a cross-shard \
-                 manifest; $(b,db status) rolls the shards up and enforces \
-                 the generation-agreement gate.")
+                 base: one write-ahead-logged Db plus a cross-shard manifest \
+                 of the fragmented indexes; $(b,db status) reports each \
+                 shard's fragment pages and pending deltas.")
   in
   Term.(const db_open_cmd $ db_dir $ base $ shards)
 

@@ -17,4 +17,3 @@ let fresh g =
   id
 
 let ensure_above g t = if t >= g.next then g.next <- t + 1
-let fork g = { next = g.next }

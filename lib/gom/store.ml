@@ -48,34 +48,6 @@ let emit t ev =
   t.epoch <- t.epoch + 1;
   List.iter (fun (_, f) -> f ev) (List.rev t.listeners)
 
-(* Deep structural clone: every instance body is copied, the immutable
-   schema is shared, listeners are not carried over (a copy starts with
-   no observers).  The copy is a fully functional store of its own —
-   the parallel layer publishes copies as frozen epoch snapshots and
-   simply never mutates them, making concurrent multi-domain reads
-   safe (hashtable reads do not resize). *)
-let copy t =
-  let objects = Hashtbl.create (max 16 (Hashtbl.length t.objects)) in
-  Hashtbl.iter
-    (fun oid inst -> Hashtbl.replace objects oid (Instance.copy inst))
-    t.objects;
-  let extents = Hashtbl.create (max 16 (Hashtbl.length t.extents)) in
-  Hashtbl.iter (fun ty r -> Hashtbl.replace extents ty (ref !r)) t.extents;
-  (* Fork the generator at its current position instead of rescanning
-     every object: identifiers already drawn stay taken on both sides,
-     and the O(n) [ensure_above] sweep disappears. *)
-  let gen = Oid.fork t.gen in
-  {
-    schema = t.schema;
-    gen;
-    objects;
-    extents;
-    names = Hashtbl.copy t.names;
-    listeners = [];
-    next_subscription = 0;
-    epoch = t.epoch;
-  }
-
 type subscription = int
 
 let subscribe t f =

@@ -39,25 +39,8 @@ val schema : t -> Schema.t
 
 val epoch : t -> int
 (** Mutation counter: bumped once per emitted event, starting at 0 for
-    a fresh store.  A {!copy} carries its source's epoch, so snapshot
-    publication can label frozen copies with the store state they
-    reflect. *)
-
-val copy : t -> t
-  [@@alert
-    legacy
-      "Store.copy deep-clones the whole base; read paths should consume \
-       Store_view (Frozen snapshots share untouched objects across epochs). \
-       Kept for writer-side cloning (tests, tools)."]
-(** Deep structural clone sharing the (immutable) schema: objects keep
-    their identifiers, extents, persistent names and the {!epoch} are
-    preserved, and no listeners are carried over.  The clone is an
-    independent store — mutating either side never affects the other.
-
-    Deprecated as a snapshot mechanism: the parallel serving layer now
-    publishes {!Frozen} copy-on-write snapshots behind {!Store_view}
-    instead of deep copies.  [copy] remains for whole-base duplication
-    (durability snapshot writing, tests). *)
+    a fresh store, so snapshot publication can label frozen copies with
+    the store state they reflect. *)
 
 val new_object : t -> Schema.type_name -> Oid.t
 (** Instantiate a type: tuple instances get all attributes set to

@@ -1,36 +1,29 @@
-(** Per-shard durability: each shard of a {!Group} is its own
-    {!Durability.Db} (write-ahead log + atomic snapshots + recovery in
-    a private directory), with one cross-shard manifest tying the
-    shards together.
+(** A durable shard group: one {!Durability.Db} (write-ahead log +
+    atomic snapshots + recovery) under a {!Group}, plus a cross-shard
+    manifest recording the shard count, the placement and the
+    registered access support relations.
 
     {2 Directory layout}
 
     {v
-    <dir>/SHARDS              shard count, placement, registered ASRs
-    <dir>/shard-0/            shard 0's MANIFEST / snapshot / wal
-    <dir>/shard-1/            ...
+    <dir>/SHARDS              "asr-shards v1": shard count, placement, ASR specs
+    <dir>/shard-0/            the Db: MANIFEST / snapshot / wal
     v}
 
-    Every shard logs the {e full} event stream (the fan-out replays
-    each primary event onto every replica store, and each replica's Db
-    logs what its store emits), so each shard directory recovers
-    independently to a prefix of the same history.  The fragment
-    relations are {e not} registered in the per-shard manifests — a
-    per-shard recovery would rebuild them unfiltered; instead the
-    cross-shard manifest holds the specs and {!open_} re-creates the
-    owner-filtered fragments over the recovered stores.
+    Shards partition index work, not the base (see {!Group}), so there
+    is one store, one log and one recovery.  The Db lives in
+    [shard-0/], the directory earlier layouts gave the write endpoint;
+    [shard-1/] … directories they left behind are ignored.
 
-    {2 Agreement gate}
+    The fragment relations are registered with the Db's maintenance
+    manager, so every flush is framed in the one log, but {e not}
+    through {!Durability.Db.register_asr}: the Db's own recovery would
+    rebuild them unfiltered.  The cross-shard manifest holds the specs
+    instead, and {!open_} re-creates the owner-filtered fragments over
+    the recovered store.
 
-    Shards crash independently, so recovered shards may sit at
-    different prefixes.  {!open_} compares a content CRC
-    ({!Gom.Crc32} over {!Gom.Serial.store_to_string}) across the
-    recovered stores and {e refuses to serve} — {!Shard_error} — on any
-    disagreement.  With [~reconcile:true] it instead adopts shard 0's
-    recovered state (shard 0 is the write endpoint, whose log carries
-    the transaction commit barriers): each disagreeing shard directory
-    is rebuilt as a fresh generation-1 Db over a copy of shard 0's
-    store, after which the gate holds by construction. *)
+    The write contract of {!Group} applies: no write may run
+    concurrently with a group query. *)
 
 exception Shard_error of string
 
@@ -41,38 +34,35 @@ type t
 
 val create :
   ?policy:Durability.Wal.sync_policy ->
-  ?faults:(int -> Durability.Fault.t option) ->
+  ?fault:Durability.Fault.t ->
   ?jobs:int ->
   ?placement:Placement.t ->
   dir:string ->
   Gom.Store.t ->
   t
-(** Initialise a durable shard group at [dir] (created if missing) from
-    an in-memory store: shard 0 wraps the store, replicas are cloned,
-    and one {!Durability.Db} is created per shard.  [placement]
-    defaults to hash placement over 1 shard; [faults] injects a
-    per-shard fault environment (the crash-sweep harness arms exactly
-    one shard).
+(** Initialise a durable shard group at [dir] (created if missing) over
+    an in-memory store.  [placement] defaults to hash placement over 1
+    shard; [fault] is the Db's fault environment (crash sweeps arm it).
     @raise Shard_error if [dir] already holds a cross-shard manifest. *)
 
 val open_ :
   ?policy:Durability.Wal.sync_policy ->
-  ?faults:(int -> Durability.Fault.t option) ->
+  ?fault:Durability.Fault.t ->
   ?jobs:int ->
-  ?reconcile:bool ->
   dir:string ->
   unit ->
   t
-(** Recover every shard, enforce the agreement gate (see above), and
-    re-create the registered fragment relations from the cross-shard
-    manifest.  [~reconcile] (default [false]) turns refusal into
-    adoption of shard 0's state.
-    @raise Shard_error when the gate fails without [~reconcile], or on
-    a malformed cross-shard manifest. *)
+(** Recover the Db and re-create the registered fragment relations
+    from the cross-shard manifest.
+    @raise Shard_error on a malformed cross-shard manifest. *)
 
 val group : t -> Group.t
-(** The assembled group — routing, quarantine, stats and flush control
-    all go through it. *)
+(** The assembled group — routing, quarantine, stats and the
+    maintenance manager all go through it. *)
+
+val db : t -> Durability.Db.t
+(** The one durable base: generation, recovery report, framed
+    maintenance flushes and checkpoints. *)
 
 val register :
   t -> path:string -> kind:Core.Extension.kind -> ?dec:string -> unit -> unit
@@ -85,22 +75,6 @@ val register :
 
 val specs : t -> Durability.Db.spec list
 
-val dbs : t -> Durability.Db.t array
-
-val reports : t -> Durability.Db.report option array
-(** Per-shard recovery reports ([None] for freshly created shards). *)
-
-val generations : t -> int array
-
-val content_crc : t -> int32 array
-(** Current per-shard content CRCs (equal on a healthy group). *)
-
-val flush_maintenance : t -> int
-(** Drain every shard's deferred buffers, each framed in its own shard's
-    write-ahead log as one flush group; returns total net deltas. *)
-
-val checkpoint : t -> unit
-(** Checkpoint every shard (new snapshot generation, fresh log). *)
-
 val close : t -> unit
-(** Close the group (fan-out, pool) and every shard Db.  Idempotent. *)
+(** Close the group (fragment maintenance, pool) and the Db.
+    Idempotent. *)

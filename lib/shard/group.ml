@@ -1,53 +1,23 @@
-[@@@alert "-legacy"]
-(* Store.copy is exactly what replica construction wants: a whole-base
-   writer-side clone each shard then mutates through the fan-out. *)
-
 type t = {
   placement : Placement.t;
   n : int;
-  stores : Gom.Store.t array;
+  store : Gom.Store.t;
+  manager : Core.Maintenance.t;
   envs : Core.Exec.env array;
   engines : Engine.t array;
-  managers : Core.Maintenance.t array;
   quarantines : Integrity.Quarantine.t array;
   pool : Parallel.Pool.t;
   jobs : int;
   router_stats : Storage.Stats.t;
   mutable specs : (Gom.Path.t * Core.Extension.kind * Core.Decomposition.t) list;
   asrs : Core.Asr.t list array;  (* mutated in place, per shard *)
-  fanout : Gom.Store.subscription option;
   mutable closed : bool;
 }
 
-(* Replicas converge by replaying each primary event's log image
-   through the regular store mutators, so replica listeners — each
-   shard's maintenance manager, engine generation bump, write-ahead log
-   — observe the same stream the primary emitted.  [record_of_event]
-   must run inside the listener (a [Created] record needs the object
-   still live to look its type up); delete nullifications arrive as
-   their own preceding events, so the replica's [delete] finds the
-   references already gone and emits no duplicates. *)
-let install_fanout stores =
-  let n = Array.length stores in
-  if n <= 1 then None
-  else
-    let primary = stores.(0) in
-    Some
-      (Gom.Store.subscribe primary (fun ev ->
-           let record = Durability.Wal.record_of_event primary ev in
-           for k = 1 to n - 1 do
-             ignore (Durability.Wal.replay stores.(k) [ record ] : int)
-           done))
-
-let create_on ?jobs ~placement ~stores ~managers ~envs () =
+let create_on ?jobs ~placement ~manager env =
   let n = Placement.shards placement in
-  if Array.length stores <> n || Array.length managers <> n || Array.length envs <> n
-  then invalid_arg "Group: placement/shard array length mismatch";
-  Array.iteri
-    (fun k env ->
-      if not (Core.Exec.live_store_exn env == stores.(k)) then
-        invalid_arg "Group: env is not over its shard's store")
-    envs;
+  let store = Core.Exec.live_store_exn env in
+  let envs = Array.init n (fun _ -> Core.Exec.make store env.Core.Exec.heap) in
   let engines = Array.map (fun env -> Engine.create env) envs in
   let quarantines =
     Array.map
@@ -57,59 +27,43 @@ let create_on ?jobs ~placement ~stores ~managers ~envs () =
         q)
       engines
   in
-  let fanout = install_fanout stores in
   let jobs = match jobs with Some j -> max 1 j | None -> n in
   {
     placement;
     n;
-    stores;
+    store;
+    manager;
     envs;
     engines;
-    managers;
     quarantines;
     pool = Parallel.Pool.create ~jobs;
     jobs;
     router_stats = Storage.Stats.create ();
     specs = [];
     asrs = Array.make n [];
-    fanout;
     closed = false;
   }
 
 let create ?jobs ?policy ?(size_of = fun _ -> 100) ~placement store =
-  let n = Placement.shards placement in
-  let stores = Array.init n (fun k -> if k = 0 then store else Gom.Store.copy store) in
-  let envs =
-    Array.map
-      (fun s ->
-        let heap = Storage.Heap.create ~size_of s in
-        Core.Exec.make s heap)
-      stores
-  in
-  let managers = Array.map Core.Maintenance.create envs in
-  let t = create_on ?jobs ~placement ~stores ~managers ~envs () in
-  (match policy with
-  | Some p -> Array.iter (fun m -> Core.Maintenance.set_policy m p) managers
-  | None -> ());
-  t
+  let env = Core.Exec.make store (Storage.Heap.create ~size_of store) in
+  let manager = Core.Maintenance.create env in
+  Option.iter (Core.Maintenance.set_policy manager) policy;
+  create_on ?jobs ~placement ~manager env
 
 let shards t = t.n
 let jobs t = t.jobs
 let placement t = t.placement
-let primary t = t.stores.(0)
-let store t k = t.stores.(k)
-let env t k = t.envs.(k)
+let store t = t.store
 let engine t k = t.engines.(k)
-let manager t k = t.managers.(k)
+let manager t = t.manager
 let quarantine_registry t k = t.quarantines.(k)
 let asrs t k = List.rev t.asrs.(k)
-let specs t = t.specs
 
 let register t ~path ~kind ~dec =
   for k = 0 to t.n - 1 do
     let owner = Placement.owner_pred t.placement k in
-    let frag = Core.Asr.create ~owner t.stores.(k) path kind dec in
-    Core.Maintenance.register t.managers.(k) frag;
+    let frag = Core.Asr.create ~owner t.store path kind dec in
+    Core.Maintenance.register t.manager frag;
     Engine.register t.engines.(k) frag;
     t.asrs.(k) <- frag :: t.asrs.(k)
   done;
@@ -123,10 +77,10 @@ let register t ~path ~kind ~dec =
    shard's answer must be the whole answer.  Sound exactly when the
    probe anchors every usable index at column 0: matching tuples then
    carry the probe as leftmost non-NULL column and live on the owner
-   shard, while navigation / extent-scan fallbacks run over the shard's
-   full replica and are exact anyway.  One index embedding the query
-   path at a positive offset breaks the argument (its matching tuples
-   may be owned by their own earlier columns), so such paths scatter. *)
+   shard, while navigation / extent-scan fallbacks read the full store
+   and are exact anyway.  One index embedding the query path at a
+   positive offset breaks the argument (its matching tuples may be
+   owned by their own earlier columns), so such paths scatter. *)
 let grouped_ok t path ~i =
   i = 0
   && List.for_all
@@ -140,39 +94,6 @@ let note_grouped t = Storage.Stats.note t.router_stats Shard_grouped
 let note_scatter t = Storage.Stats.note t.router_stats Shard_scatter
 
 let scatter_tasks t f = List.init t.n (fun k () -> f k)
-
-let forward t path ~i ~j oid =
-  if t.n = 1 then begin
-    note_grouped t;
-    Engine.forward ~env:t.envs.(0) t.engines.(0) path ~i ~j oid
-  end
-  else if grouped_ok t path ~i then begin
-    note_grouped t;
-    let k = Placement.shard_of_oid t.placement oid in
-    Engine.forward ~env:t.envs.(k) t.engines.(k) path ~i ~j oid
-  end
-  else begin
-    note_scatter t;
-    Parallel.Pool.run_all t.pool
-      (scatter_tasks t (fun k ->
-           Engine.forward ~env:t.envs.(k) t.engines.(k) path ~i ~j oid))
-    |> List.concat
-    |> List.sort_uniq Gom.Value.compare
-  end
-
-let backward t path ~i ~j ~target =
-  if t.n = 1 then begin
-    note_grouped t;
-    Engine.backward ~env:t.envs.(0) t.engines.(0) path ~i ~j ~target
-  end
-  else begin
-    note_scatter t;
-    Parallel.Pool.run_all t.pool
-      (scatter_tasks t (fun k ->
-           Engine.backward ~env:t.envs.(k) t.engines.(k) path ~i ~j ~target))
-    |> List.concat
-    |> List.sort_uniq Gom.Oid.compare
-  end
 
 (* Pointwise union of per-shard batch answers.  Every shard deduplicates
    and sorts the same probe list, so the chunks are keyed identically
@@ -245,25 +166,17 @@ let backward_batch t path ~i ~j ~targets =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Maintenance and accounting                                          *)
+(* Accounting                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let set_policy t policy =
-  Array.iter (fun m -> Core.Maintenance.set_policy m policy) t.managers
-
-let flush_all t =
-  Array.fold_left (fun acc m -> acc + Core.Maintenance.flush_all m) 0 t.managers
-
-let pending t =
-  Array.fold_left (fun acc m -> acc + Core.Maintenance.pending m) 0 t.managers
 
 let shard_summaries t =
   Array.map (fun env -> Storage.Stats.snapshot env.Core.Exec.stats) t.envs
 
 let stats_summary t =
-  Array.fold_left
-    (fun acc s -> Storage.Stats.merge acc s)
-    (Storage.Stats.snapshot t.router_stats)
+  Array.fold_left Storage.Stats.merge
+    (Storage.Stats.merge
+       (Storage.Stats.snapshot t.router_stats)
+       (Storage.Stats.snapshot (Core.Maintenance.stats t.manager)))
     (shard_summaries t)
 
 let total_pages t =
@@ -274,8 +187,6 @@ let total_pages t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (match t.fanout with
-    | Some sub -> Gom.Store.unsubscribe t.stores.(0) sub
-    | None -> ());
+    Array.iter (List.iter (Core.Maintenance.suspend t.manager)) t.asrs;
     Parallel.Pool.shutdown t.pool
   end

@@ -4,18 +4,27 @@
 
     {2 Architecture}
 
-    Shard 0 wraps the caller's store — the single write endpoint.  Every
-    other shard holds a full structural replica, kept converged by a
-    fan-out subscription that replays each primary event (via its
-    {!Durability.Wal.record_of_event} image) onto the replica stores, so
-    each shard's maintenance manager, engine generation and write-ahead
-    log observe the same mutation stream.
+    A shard partitions {e index work}, never the object base (the
+    paper's Def. 3.8 / Thm. 3.9 decompose the access support relation,
+    not the base it is built over).  Every shard reads the one store the
+    caller passed in, through one shared {!Storage.Heap} layout; what
+    each shard owns is an environment with a private
+    {!Storage.Stats} sheaf, an engine, a quarantine registry and the
+    horizontal fragments ([Core.Asr.create ~owner]) holding only the
+    tuples {!Placement} assigns to it.  Tree sizes and lookup work
+    split ~1/N per shard, while navigation and extent-scan fallbacks
+    read the full store and stay exact.
 
-    What is {e not} replicated is the index work: each shard's access
-    support relations are horizontal fragments ([Core.Asr.create
-    ~owner]) holding only the tuples {!Placement} assigns to that shard,
-    so tree sizes, maintenance traffic and lookup work split ~1/N per
-    shard while navigation fallbacks (over the full replica) stay exact.
+    One {!Core.Maintenance.t} maintains all [N] fragments from the
+    store's event stream, so a write updates each fragment exactly once
+    and there is no per-shard copy of the base to keep converged.
+
+    {2 Write contract}
+
+    Shard tasks read the shared live store from several domains at
+    once.  No write (store mutation, maintenance flush, registration)
+    may run concurrently with a group query: mutate between queries,
+    from the caller's domain.
 
     {2 Routing}
 
@@ -28,7 +37,7 @@
     ({!Engine.embedding_offset}).  Everything else — backward queries,
     deeper anchors, paths some index embeds at a positive offset — is
     {e scattered}: every shard evaluates every probe and the per-probe
-    answers are unioned.
+    answers are unioned.  A single probe is a batch of one.
 
     {2 Determinism}
 
@@ -48,39 +57,32 @@ val create :
   placement:Placement.t ->
   Gom.Store.t ->
   t
-(** An in-memory group over the given store (which becomes shard 0's
-    store and stays the write endpoint).  [jobs] sizes the domain pool
-    (default: the shard count); [policy] is applied to every shard's
-    maintenance manager; [size_of] feeds the per-shard heap layouts
-    (default 100 bytes per object, the test suite's convention). *)
+(** An in-memory group over the given store, which every shard reads
+    and all writes go through.  [jobs] sizes the domain pool (default:
+    the shard count); [policy] is the maintenance manager's flush
+    policy; [size_of] feeds the heap layout (default 100 bytes per
+    object, the test suite's convention). *)
 
 val create_on :
-  ?jobs:int ->
-  placement:Placement.t ->
-  stores:Gom.Store.t array ->
-  managers:Core.Maintenance.t array ->
-  envs:Core.Exec.env array ->
-  unit ->
-  t
-(** Assemble a group over pre-built per-shard plumbing — the durable
-    layer's entry point, whose per-shard [Durability.Db] handles already
-    own the stores, environments and maintenance managers.  [stores.(0)]
-    is the write endpoint; all three arrays must have the placement's
-    length, and [managers.(k)]/[envs.(k)] must be attached to
-    [stores.(k)].
-    @raise Invalid_argument on length or store mismatches. *)
+  ?jobs:int -> placement:Placement.t -> manager:Core.Maintenance.t -> Core.Exec.env -> t
+(** Assemble a group over pre-built plumbing — the durable layer's
+    entry point, whose {!Durability.Db} already owns the store, heap and
+    maintenance manager.  The shard environments read [env]'s store and
+    heap, each with a fresh sheaf; [manager] must be subscribed to that
+    store, and maintains every fragment {!register} creates. *)
 
 val shards : t -> int
 val jobs : t -> int
 val placement : t -> Placement.t
 
-val primary : t -> Gom.Store.t
-(** Shard 0's store — the write endpoint all mutations go through. *)
+val store : t -> Gom.Store.t
+(** The one store every shard reads — the write endpoint. *)
 
-val store : t -> int -> Gom.Store.t
-val env : t -> int -> Core.Exec.env
 val engine : t -> int -> Engine.t
-val manager : t -> int -> Core.Maintenance.t
+
+val manager : t -> Core.Maintenance.t
+(** The maintenance manager of every fragment: flush policy, draining
+    and pending-delta counts all go through it. *)
 
 val quarantine_registry : t -> int -> Integrity.Quarantine.t
 (** Shard [k]'s quarantine registry, already attached as its engine's
@@ -93,18 +95,10 @@ val asrs : t -> int -> Core.Asr.t list
 val register :
   t -> path:Gom.Path.t -> kind:Core.Extension.kind -> dec:Core.Decomposition.t -> unit
 (** Materialise one access support relation as [N] owner-filtered
-    fragments — one per shard, each registered with its shard's
-    maintenance manager and engine. *)
-
-val specs : t -> (Gom.Path.t * Core.Extension.kind * Core.Decomposition.t) list
+    fragments — one per shard, each registered with the group's
+    maintenance manager and its shard's engine. *)
 
 (** {2 Scatter-gather queries} *)
-
-val forward :
-  t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t -> Gom.Value.t list
-
-val backward :
-  t -> Gom.Path.t -> i:int -> j:int -> target:Gom.Value.t -> Gom.Oid.t list
 
 val forward_batch :
   t -> Gom.Path.t -> i:int -> j:int -> Gom.Oid.t list -> (Gom.Oid.t * Gom.Value.t list) list
@@ -122,32 +116,22 @@ val backward_batch :
   targets:Gom.Value.t list ->
   (Gom.Value.t * Gom.Oid.t list) list
 
-(** {2 Maintenance and accounting} *)
-
-val set_policy : t -> Core.Maintenance.flush_policy -> unit
-(** Switch every shard's maintenance manager's flush policy. *)
-
-val flush_all : t -> int
-(** Drain every shard's deferred-maintenance buffers; returns the total
-    net deltas applied. *)
-
-val pending : t -> int
-(** Buffered deltas summed over shards. *)
+(** {2 Accounting} *)
 
 val shard_summaries : t -> Storage.Stats.summary array
-(** Per-shard accounting sheaves (each shard's environment counts its
-    own pages privately). *)
+(** Per-shard query sheaves (each shard's environment counts its own
+    pages privately). *)
 
 val stats_summary : t -> Storage.Stats.summary
-(** The group accountant: every shard sheaf merged
-    ({!Storage.Stats.merge}) with the router's own grouped/scatter
-    counters. *)
+(** The group accountant: the router's grouped/scatter counters, every
+    shard sheaf and the maintenance manager's sheaf, merged with
+    {!Storage.Stats.merge}. *)
 
 val total_pages : t -> int array
 (** Per-shard page counts over all fragment relations (one clustering
     copy each) — the bench's per-shard balance report. *)
 
 val close : t -> unit
-(** Detach the fan-out subscription and shut the domain pool down.
-    Idempotent; the stores and relations survive (shard 0's store is
-    the caller's). *)
+(** Stop maintaining the fragments ({!Core.Maintenance.suspend} on each)
+    and shut the domain pool down.  Idempotent; the store and the
+    relations survive, frozen at their state when [close] ran. *)

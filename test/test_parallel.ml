@@ -1,17 +1,13 @@
 (* Concurrency harness for the parallel serving layer: snapshot
    isolation under a racing mutator, jobs-independent deterministic
    merges, plan-cache hammering from several domains, sheaf accounting,
-   the domain pool itself, and Store.copy.
+   and the domain pool itself.
 
    Everything here runs on stock OCaml 5 domains — the suite is the
    regression net for the data races the parallel layer is designed
    out of, so it deliberately oversubscribes the machine (domain count
    exceeds core count on small CI runners; correctness may not depend
    on true parallelism). *)
-
-(* The Store.copy cases below exercise the deprecated deep clone on
-   purpose — it remains the writer-side cloning primitive. *)
-[@@@alert "-legacy"]
 
 module E = Core.Exec
 module D = Core.Decomposition
@@ -60,47 +56,6 @@ let iters_env name default =
   match Sys.getenv_opt name with
   | Some s -> (match int_of_string_opt (String.trim s) with Some n -> n | None -> default)
   | None -> default
-
-(* ---------------- Store.copy ---------------- *)
-
-let test_copy_isolates () =
-  let store, path = Workload.Generator.build (small_spec ()) in
-  let t0 = Gom.Path.type_at path 0 in
-  let attr = (Gom.Path.step path 1).Gom.Path.attr in
-  Gom.Store.bind_name store "root" (List.hd (Gom.Store.extent store t0));
-  let copy = Gom.Store.copy store in
-  check_int "epoch preserved" (Gom.Store.epoch store) (Gom.Store.epoch copy);
-  check "extents equal" true
-    (Gom.Store.extent ~deep:true store t0 = Gom.Store.extent ~deep:true copy t0);
-  check "names equal" true (Gom.Store.names store = Gom.Store.names copy);
-  let o = List.hd (Gom.Store.extent store t0) in
-  check "attrs equal" true (Gom.Store.get_attr store o attr = Gom.Store.get_attr copy o attr);
-  (* Fresh identifiers in the copy sit above every inherited one — the
-     original (still exactly the inherited object set) must not know
-     them.  (After this split the two generators diverge independently;
-     ids are only ever meaningful within one store.) *)
-  let fresh' = Gom.Store.new_object copy t0 in
-  check "copy allocates above inherited oids" false (Gom.Store.mem store fresh');
-  (* Mutating either side must not leak into the other. *)
-  let before = Gom.Store.get_attr store o attr in
-  Gom.Store.set_attr copy o attr V.Null;
-  check "original untouched by copy mutation" true (Gom.Store.get_attr store o attr = before);
-  Gom.Store.set_attr store o attr V.Null;
-  Gom.Store.set_attr store o attr before;
-  check "copy untouched by original mutation" true (Gom.Store.get_attr copy o attr = V.Null)
-
-let test_copy_answers_agree () =
-  let store, path = Workload.Generator.build (small_spec ~seed:19 ()) in
-  let copy = Gom.Store.copy store in
-  let env = env_of store and env' = env_of copy in
-  let n = Gom.Path.length path in
-  let sources = Gom.Store.extent ~deep:true store (Gom.Path.type_at path 0) in
-  List.iter
-    (fun src ->
-      check "copy forward_scan agrees" true
-        (vset (E.forward_scan env path ~i:0 ~j:n src)
-        = vset (E.forward_scan env' path ~i:0 ~j:n src)))
-    sources
 
 (* ---------------- Pool ---------------- *)
 
@@ -553,9 +508,6 @@ let test_stats_sheaves_sum () =
 
 let suite =
   [
-    Alcotest.test_case "Store.copy isolates the two stores" `Quick test_copy_isolates;
-    Alcotest.test_case "Store.copy answers agree with original" `Quick
-      test_copy_answers_agree;
     Alcotest.test_case "pool preserves input order" `Quick test_pool_order;
     Alcotest.test_case "pool re-raises first failure" `Quick test_pool_exceptions;
     Alcotest.test_case "pool isolates concurrent batches" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the horizontal sharding layer: the placement function, the
-   scatter-gather router, and per-shard durability.
+   scatter-gather router, and the durable shard group.
 
    The centrepiece is the merge gate: a QCheck oracle asserting that
    every (path, i, j, direction) query answered by the sharded router is
@@ -7,13 +7,10 @@
    across shard counts 1/2/4/8, job counts and flush policies — and
    that after a full flush the per-shard fragment trees union back,
    tree for tree, to the unsharded relation.  Around it: a regression
-   for quarantine-driven degradation staying local to one shard, and a
-   crash-at-every-write sweep over one shard's log with the cross-shard
-   agreement gate refusing to serve until the generations agree. *)
-
-(* Store.copy builds the replica stores — the writer-side clone the
-   alert keeps available. *)
-[@@@alert "-legacy"]
+   for quarantine-driven degradation staying local to one shard, one
+   for [close] freezing every fragment, and a crash-at-every-write
+   sweep over the group's log that holds each recovered group to the
+   same oracle. *)
 
 module E = Core.Exec
 module D = Core.Decomposition
@@ -87,8 +84,8 @@ let test_placement_strings () =
 (* ---------------- the sharded ≡ unsharded oracle ---------------- *)
 
 (* The unsharded reference: its own engine, manager and full (unowned)
-   relations over the SAME primary store the group's shard 0 wraps, so
-   both sides observe the identical mutation stream. *)
+   relations over the SAME store the group's shards read, so both sides
+   observe the identical mutation stream. *)
 type reference = { r_env : E.env; r_mgr : M.t; r_engine : Engine.t }
 
 let make_reference store =
@@ -119,19 +116,20 @@ let queries_agree r grp store path =
         Engine.backward_batch ~env:r.r_env r.r_engine path ~i ~j ~targets
         = G.backward_batch grp path ~i ~j ~targets
       in
+      (* A single probe is a batch of one. *)
       let single_fwd_ok =
         match sources with
         | [] -> true
         | src :: _ ->
-          Engine.forward ~env:r.r_env r.r_engine path ~i ~j src
-          = G.forward grp path ~i ~j src
+          [ (src, Engine.forward ~env:r.r_env r.r_engine path ~i ~j src) ]
+          = G.forward_batch grp path ~i ~j [ src ]
       in
       let single_bwd_ok =
         match targets with
         | [] -> true
         | tgt :: _ ->
-          Engine.backward ~env:r.r_env r.r_engine path ~i ~j ~target:tgt
-          = G.backward grp path ~i ~j ~target:tgt
+          [ (tgt, Engine.backward ~env:r.r_env r.r_engine path ~i ~j ~target:tgt) ]
+          = G.backward_batch grp path ~i ~j ~targets:[ tgt ]
       in
       fwd_ok && bwd_ok && single_fwd_ok && single_bwd_ok)
     (all_ranges path)
@@ -164,8 +162,8 @@ let trees_agree ref_asr grp ~spec_idx =
   disjoint && ext_union && parts_union
 
 (* Random mutation driver (same shape as the maintenance fuzzers):
-   assignments, set surgery, deletions — all through the primary
-   store, fanning out to the replicas. *)
+   assignments, set surgery, deletions — all through the shared
+   store. *)
 type op = Insert | Remove | Assign | AssignNull | Delete
 
 let apply_random_op rng store path =
@@ -262,7 +260,7 @@ let prop_sharded_equals_unsharded =
           (* Queries must agree even with deltas still buffered (the
              engines catch up); then drain and compare the trees. *)
           let q_ok = queries_agree r grp store path in
-          ignore (G.flush_all grp : int);
+          ignore (M.flush_all (G.manager grp) : int);
           ignore (M.flush_all r.r_mgr : int);
           q_ok
           && trees_agree ref_asr grp ~spec_idx:0
@@ -383,7 +381,41 @@ let test_quarantine_degrades_one_shard () =
       check "merged accountant keeps the fallbacks" true
         (Storage.Stats.count total Fallback > 0))
 
-(* ---------------- per-shard durability ---------------- *)
+(* ---------------- close stops maintenance ---------------- *)
+
+(* After [close] the store stays the caller's and keeps being written;
+   the one maintenance manager must leave every fragment alone and
+   charge nothing more. *)
+let test_close_freezes_fragments () =
+  let spec =
+    Workload.Generator.spec ~seed:13 ~counts:[ 8; 10; 12 ] ~defined:[ 7; 9 ]
+      ~fan:[ 2; 2 ] ()
+  in
+  let store, path = Workload.Generator.build spec in
+  let m = Gom.Path.arity path - 1 in
+  let kind = Core.Extension.Full and dec = D.binary ~m in
+  let grp = G.create ~placement:(P.make 4) store in
+  G.register grp ~path ~kind ~dec;
+  G.close grp;
+  let rows a = List.sort compare (Relation.to_list (Core.Asr.extension_relation a)) in
+  let frags = List.init (G.shards grp) (fun k -> List.hd (G.asrs grp k)) in
+  let before = List.map rows frags in
+  let pages () =
+    let s = Storage.Stats.snapshot (M.stats (G.manager grp)) in
+    (s.Storage.Stats.s_total_reads, s.Storage.Stats.s_total_writes)
+  in
+  let pages_before = pages () in
+  let rng = Random.State.make [| 3 |] in
+  for _ = 1 to 20 do
+    apply_random_op rng store path
+  done;
+  check "the writes changed the extension" true
+    (rows (Core.Asr.create store path kind dec)
+    <> List.sort compare (List.concat before));
+  check "every fragment unchanged after close" true (List.map rows frags = before);
+  check "manager charged no pages after close" true (pages () = pages_before)
+
+(* ---------------- durable shard group ---------------- *)
 
 let fresh_dir () =
   let d = Filename.temp_file "asr-shard-test" "" in
@@ -412,70 +444,43 @@ let durable_spec =
    flush.  Deterministic, so every run writes the same log byte
    stream. *)
 let run_durable_workload d path =
-  G.set_policy (Dur.group d) (M.Every_k_events 4);
-  let store = G.primary (Dur.group d) in
+  Db.set_flush_policy (Dur.db d) (M.Every_k_events 4);
+  let store = G.store (Dur.group d) in
   let rng = Random.State.make [| 5 |] in
   for _ = 1 to 6 do
     apply_random_op rng store path
   done;
-  ignore (Dur.flush_maintenance d : int)
+  ignore (Db.flush_maintenance (Dur.db d) : int)
 
-let durable_path_of d =
+let durable_spec_of d =
   match Dur.specs d with
-  | spec :: _ ->
-    let p, _, _ = Db.spec_components (G.primary (Dur.group d)) spec in
-    p
+  | spec :: _ -> Db.spec_components (G.store (Dur.group d)) spec
   | [] -> Alcotest.fail "durable group lost its registration"
 
 (* The recovered group must answer exactly like a navigational scan of
-   the recovered primary. *)
+   the recovered store. *)
 let recovered_answers_exact d =
   let grp = Dur.group d in
-  let store = G.primary grp in
-  let path = durable_path_of d in
+  let store = G.store grp in
+  let path, _, _ = durable_spec_of d in
   let env = env_of store in
   let n = Gom.Path.length path in
   let sources = Gom.Store.extent ~deep:true store (Gom.Path.type_at path 0) in
   List.for_all
-    (fun src ->
-      vset (E.forward_scan env path ~i:0 ~j:n src)
-      = vset (G.forward grp path ~i:0 ~j:n src))
-    sources
+    (fun (src, got) -> vset (E.forward_scan env path ~i:0 ~j:n src) = got)
+    (G.forward_batch grp path ~i:0 ~j:n sources)
 
-let test_durable_roundtrip () =
-  with_dir (fun dir ->
-      let store, path = Workload.Generator.build durable_spec in
-      let d =
-        Dur.create ~policy:Wal.Sync_always ~placement:(P.make 2) ~dir store
-      in
-      Dur.register d ~path:(Gom.Path.to_string path) ~kind:Core.Extension.Canonical ();
-      run_durable_workload d path;
-      let crc_before = Dur.content_crc d in
-      check "healthy group agrees" true
-        (Array.for_all (fun c -> Int32.equal c crc_before.(0)) crc_before);
-      Dur.close d;
-      let d' = Dur.open_ ~dir () in
-      Fun.protect
-        ~finally:(fun () -> Dur.close d')
-        (fun () ->
-          check_int "both shards reopened" 2 (Array.length (Dur.dbs d'));
-          check_int "registration recovered" 1 (List.length (Dur.specs d'));
-          let crc = Dur.content_crc d' in
-          check "recovered shards agree" true
-            (Array.for_all (fun c -> Int32.equal c crc.(0)) crc);
-          check "recovered answers exact" true (recovered_answers_exact d')))
+let store_crc store = Gom.Crc32.string (Gom.Serial.store_to_string store)
 
-(* One run of the workload with a fault armed on shard 1's log; the
-   crash must fire.  The dead process's stores are abandoned (the
-   armed shard's log is simulated, so nothing leaks); only shard 0's
-   real Db and the domain pool are shut down. *)
-let crashed_run ~plan dir =
-  let fault = Fault.faulty plan in
+(* One run of the workload with [fault] armed on the group's log;
+   returns whether the crash fired and the final store's content CRC.
+   After a crash the process is dead and nothing — not even a close —
+   may touch the log: the store is abandoned, only the domain pool is
+   shut down and the global transaction hooks dropped. *)
+let durable_run ~fault dir =
   let store, path = Workload.Generator.build durable_spec in
   let d =
-    Dur.create ~policy:Wal.Sync_always
-      ~faults:(fun k -> if k = 1 then Some fault else None)
-      ~placement:(P.make 2) ~dir store
+    Dur.create ~policy:Wal.Sync_always ~fault ~placement:(P.make 2) ~dir store
   in
   Dur.register d ~path:(Gom.Path.to_string path) ~kind:Core.Extension.Canonical ();
   let crashed =
@@ -483,57 +488,62 @@ let crashed_run ~plan dir =
     | () -> false
     | exception Fault.Crash -> true
   in
-  G.close (Dur.group d);
-  Db.close (Dur.dbs d).(0);
-  Gom.Txn.clear_hooks (Db.store (Dur.dbs d).(1));
-  crashed
+  let crc = store_crc store in
+  if crashed then begin
+    G.close (Dur.group d);
+    Gom.Txn.clear_hooks store
+  end
+  else Dur.close d;
+  (crashed, crc)
 
-let test_crash_sweep_agreement_gate () =
+let test_durable_roundtrip () =
+  with_dir (fun dir ->
+      check "no fault armed, no crash" false (fst (durable_run ~fault:(Fault.real ()) dir));
+      let d = Dur.open_ ~dir () in
+      Fun.protect
+        ~finally:(fun () -> Dur.close d)
+        (fun () ->
+          check_int "both shards reopened" 2 (G.shards (Dur.group d));
+          check_int "registration recovered" 1 (List.length (Dur.specs d));
+          check "recovered answers exact" true (recovered_answers_exact d)))
+
+(* The composed oracle: crash at every write of the log, recover, and
+   hold the recovered group to an unsharded engine built over the
+   recovered store — every query range in both directions, then the
+   fragment trees after a flush. *)
+let test_crash_sweep_recovered_oracle () =
   (* Size the sweep from a crash-free reference run. *)
-  let writes =
+  let writes, final_crc =
     with_dir (fun dir ->
         let fault = Fault.real () in
-        let store, path = Workload.Generator.build durable_spec in
-        let d =
-          Dur.create ~policy:Wal.Sync_always
-            ~faults:(fun k -> if k = 1 then Some fault else None)
-            ~placement:(P.make 2) ~dir store
-        in
-        Dur.register d ~path:(Gom.Path.to_string path)
-          ~kind:Core.Extension.Canonical ();
-        run_durable_workload d path;
-        let w = Fault.writes fault in
-        Dur.close d;
-        w)
+        let crashed, crc = durable_run ~fault dir in
+        check "reference run does not crash" false crashed;
+        (Fault.writes fault, crc))
   in
-  check "reference run logged writes on shard 1" true (writes > 0);
-  let refusals = ref 0 in
+  check "reference run logged writes" true (writes > 0);
+  let lost_history = ref 0 in
   for c = 1 to writes do
     with_dir (fun dir ->
         let ctx = Printf.sprintf "crash@%d" c in
         let plan = { Fault.crash_at_write = c; survive_bytes = 0; corrupt_bytes = 0 } in
-        check (ctx ^ ": crash fired") true (crashed_run ~plan dir);
-        (* Recovery: either the lost tail held no store content and the
-           gate passes, or the gate must refuse until reconciled. *)
-        let d =
-          match Dur.open_ ~dir () with
-          | d -> d
-          | exception Dur.Shard_error _ ->
-            incr refusals;
-            Dur.open_ ~reconcile:true ~dir ()
-        in
+        check (ctx ^ ": crash fired") true (fst (durable_run ~fault:(Fault.faulty plan) dir));
+        let d = Dur.open_ ~dir () in
         Fun.protect
           ~finally:(fun () -> Dur.close d)
           (fun () ->
-            let crc = Dur.content_crc d in
-            check (ctx ^ ": generations agree after recovery") true
-              (Array.for_all (fun x -> Int32.equal x crc.(0)) crc);
-            check (ctx ^ ": recovered answers exact") true
-              (recovered_answers_exact d)))
+            let grp = Dur.group d in
+            let store = G.store grp in
+            if not (Int32.equal (store_crc store) final_crc) then incr lost_history;
+            let path, kind, dec = durable_spec_of d in
+            let r = make_reference store in
+            let ref_asr = register_reference r store path kind dec in
+            check (ctx ^ ": queries agree") true (queries_agree r grp store path);
+            ignore (Db.flush_maintenance (Dur.db d) : int);
+            ignore (M.flush_all r.r_mgr : int);
+            check (ctx ^ ": trees agree") true (trees_agree ref_asr grp ~spec_idx:0)))
   done;
-  (* The gate is not vacuous: losing a synced tail mid-history must
-     produce at least one refusal. *)
-  check "agreement gate fired during the sweep" true (!refusals > 0)
+  (* Not vacuous: some crash point must lose part of the history. *)
+  check "some crash recovered a shorter history" true (!lost_history > 0)
 
 let suite =
   [
@@ -544,7 +554,9 @@ let suite =
       test_identical_across_shard_counts;
     Alcotest.test_case "quarantine degrades one shard only" `Quick
       test_quarantine_degrades_one_shard;
+    Alcotest.test_case "close freezes every fragment" `Quick
+      test_close_freezes_fragments;
     Alcotest.test_case "durable shard group roundtrip" `Quick test_durable_roundtrip;
-    Alcotest.test_case "crash sweep: agreement gate" `Quick
-      test_crash_sweep_agreement_gate;
+    Alcotest.test_case "crash sweep: recovered = unsharded" `Quick
+      test_crash_sweep_recovered_oracle;
   ]
