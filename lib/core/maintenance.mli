@@ -74,8 +74,6 @@ val flush_all : t -> int
 val pending : t -> int
 (** Net buffered deltas over all registered ASRs. *)
 
-val pending_bytes : t -> int
-
 val asrs : t -> Asr.t list
 
 val stats : t -> Storage.Stats.t

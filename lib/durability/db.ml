@@ -38,25 +38,6 @@ let spec_of_string line =
     | None -> None)
   | _ -> None
 
-(* Replace a small control file atomically: temp + fsync + rename. *)
-let atomic_write path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 let write_manifest dir gen specs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (manifest_header ^ "\n");
@@ -64,16 +45,12 @@ let write_manifest dir gen specs =
   List.iter
     (fun s -> Buffer.add_string buf (Printf.sprintf "asr %s\n" (spec_to_string s)))
     specs;
-  atomic_write (manifest_file dir) (Buffer.contents buf)
+  Fault.atomic_write (manifest_file dir) (Buffer.contents buf)
 
 let read_manifest dir =
   let path = manifest_file dir in
   let text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    try Fault.read_all path
     with Sys_error m -> recovery_error "cannot read manifest: %s" m
   in
   let lines =
@@ -87,23 +64,17 @@ let read_manifest dir =
       (fun line ->
         match String.split_on_char ' ' line with
         | [ "gen"; g ] -> gen := int_of_string_opt g
-        | "asr" :: kind :: dec :: path_parts when path_parts <> [] ->
-          let kind =
-            match Core.Extension.of_name kind with
-            | Some k -> k
-            | None -> recovery_error "manifest: unknown extension %S" kind
-          in
-          let dec = if dec = "-" then None else Some dec in
-          specs :=
-            { s_kind = kind; s_dec = dec; s_path = String.concat " " path_parts }
-            :: !specs
+        | "asr" :: spec_parts -> (
+          match spec_of_string (String.concat " " spec_parts) with
+          | Some s -> specs := s :: !specs
+          | None -> recovery_error "manifest: malformed spec %S" line)
         | _ -> recovery_error "manifest: malformed line %S" line)
       rest;
     (match !gen with
     | Some g when g > 0 -> (g, List.rev !specs)
     | _ -> recovery_error "manifest: missing generation")
   | h :: _ -> recovery_error "manifest: unknown header %S" h
-  | [] -> recovery_error "manifest: empty"
+  | [] -> recovery_error "manifest %s: missing or empty" path
 
 (* ---------------- the handle ---------------- *)
 
@@ -220,7 +191,16 @@ let build_spec_asr store spec =
   let path, kind, dec = spec_components store spec in
   (path, Core.Asr.create store path kind dec)
 
-let open_ ?fault ?(policy = Wal.Sync_on_commit) ~dir () =
+type loaded = {
+  l_gen : int;
+  l_specs : spec list;
+  l_store : Gom.Store.t;
+  l_scanned : Wal.scanned;
+  l_replayed : Wal.record list;
+  l_applied : int;
+}
+
+let load ?fault ~keep dir =
   let fault = match fault with Some f -> f | None -> default_fault () in
   let gen, specs = read_manifest dir in
   let store =
@@ -239,29 +219,40 @@ let open_ ?fault ?(policy = Wal.Sync_on_commit) ~dir () =
     | Fault.Retryable m ->
       recovery_error "snapshot %d: transient read failure persisted: %s" gen m
   in
-  let scanned = Wal.scan (wal_file dir gen) in
-  (* Chop the log back to its committed prefix: both the torn tail and
-     intact records of transactions that never committed, so future
-     appends continue from a transaction-consistent point. *)
-  if scanned.Wal.total_bytes > scanned.Wal.committed_bytes then
-    Unix.truncate (wal_file dir gen) scanned.Wal.committed_bytes;
-  let committed =
+  let log = wal_file dir gen in
+  let scanned = Wal.scan log in
+  let keep_bytes =
+    match keep with
+    | `Committed -> scanned.Wal.committed_bytes
+    | `Valid -> scanned.Wal.valid_bytes
+  in
+  if scanned.Wal.total_bytes > keep_bytes then Unix.truncate log keep_bytes;
+  let replayed =
     List.filteri (fun i _ -> i < scanned.Wal.committed) scanned.Wal.records
   in
   let applied =
-    try Wal.replay store committed
+    try Wal.replay store replayed
     with Wal.Replay_error m -> recovery_error "log %d: %s" gen m
   in
-  let commits =
-    List.fold_left
-      (fun n r -> match r with Wal.Commit -> n + 1 | _ -> n)
-      0 committed
-  in
-  let flushes =
-    List.fold_left
-      (fun n r -> match r with Wal.Flush _ -> n + 1 | _ -> n)
-      0 committed
-  in
+  {
+    l_gen = gen;
+    l_specs = specs;
+    l_store = store;
+    l_scanned = scanned;
+    l_replayed = replayed;
+    l_applied = applied;
+  }
+
+let open_ ?fault ?(policy = Wal.Sync_on_commit) ~dir () =
+  let fault = match fault with Some f -> f | None -> default_fault () in
+  (* Chop the log back to its committed prefix: both the torn tail and
+     intact records of transactions that never committed, so future
+     appends continue from a transaction-consistent point. *)
+  let l = load ~fault ~keep:`Committed dir in
+  let store = l.l_store and scanned = l.l_scanned in
+  let count p = List.length (List.filter p l.l_replayed) in
+  let commits = count (function Wal.Commit -> true | _ -> false) in
+  let flushes = count (function Wal.Flush _ -> true | _ -> false) in
   let checked =
     List.map
       (fun spec ->
@@ -272,13 +263,13 @@ let open_ ?fault ?(policy = Wal.Sync_on_commit) ~dir () =
             (Core.Extension.compute store path spec.s_kind)
         in
         ((spec_to_string spec, ok), a))
-      specs
+      l.l_specs
   in
   let report =
     {
-      generation = gen;
+      generation = l.l_gen;
       records_scanned = List.length scanned.Wal.records;
-      records_replayed = applied;
+      records_replayed = l.l_applied;
       records_dropped = List.length scanned.Wal.records - scanned.Wal.committed;
       bytes_truncated = scanned.Wal.total_bytes - scanned.Wal.committed_bytes;
       commits_replayed = commits;
@@ -286,8 +277,8 @@ let open_ ?fault ?(policy = Wal.Sync_on_commit) ~dir () =
       asr_checks = List.map fst checked;
     }
   in
-  let wal = Wal.open_append ~fault ~policy (wal_file dir gen) in
-  make ~dir ~fault ~policy ~store ~gen ~specs
+  let wal = Wal.open_append ~fault ~policy (wal_file dir l.l_gen) in
+  make ~dir ~fault ~policy ~store ~gen:l.l_gen ~specs:l.l_specs
     ~handles:(List.rev_map snd checked)
     ~wal ~recovery:(Some report)
 

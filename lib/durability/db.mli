@@ -75,6 +75,29 @@ val read_manifest : string -> int * spec list
 val write_manifest : string -> int -> spec list -> unit
 (** Atomically (temp + fsync + rename) replace [dir]'s manifest. *)
 
+(** A generation loaded from a directory: manifest, then snapshot, then
+    the log's committed prefix replayed over it. *)
+type loaded = {
+  l_gen : int;
+  l_specs : spec list;
+  l_store : Gom.Store.t;  (** the snapshot with the prefix replayed *)
+  l_scanned : Wal.scanned;  (** the one scan of the generation's log *)
+  l_replayed : Wal.record list;  (** the committed prefix, markers included *)
+  l_applied : int;  (** mutations it applied *)
+}
+
+val load :
+  ?fault:Fault.t -> keep:[ `Committed | `Valid ] -> string -> loaded
+(** Load [dir]'s live generation, the steps {!open_} and a resuming
+    replica share.  The log is physically truncated first: to its
+    committed prefix ([`Committed], crash recovery), or only past its
+    last intact record ([`Valid], a replica keeping an open span that
+    the next shipped bytes complete — it continues from
+    [l_scanned.scanner]).  The snapshot read goes through [?fault]'s
+    read plan with bounded retry.
+    @raise Recovery_error on an unreadable manifest or snapshot, or a
+    log record that does not apply. *)
+
 type t
 
 val create :

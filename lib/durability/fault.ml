@@ -64,7 +64,6 @@ let writes t = t.writes
 let reads t = t.reads
 let retries t = t.retries
 let backoff_ticks t = t.backoff_ticks
-let frames t = t.frames
 
 type sim = {
   path : string;
@@ -91,6 +90,24 @@ let read_all path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
+
+let atomic_write path contents =
+  let dir = Filename.dirname path in
+  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc contents;
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let open_append t path =
   match t.plan with

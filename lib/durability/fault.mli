@@ -116,10 +116,6 @@ val backoff_ticks : t -> int
     [k]'th retry adds [2^(k-1)] ticks.  Recorded, never slept, so
     sweeps stay instant and reproducible. *)
 
-val frames : t -> int
-(** Frame sends observed through this environment so far; used to size
-    channel fault sweeps the same way {!writes} sizes crash sweeps. *)
-
 (** {2 Channel injection} *)
 
 (** What the transport should do with one sent frame. *)
@@ -157,6 +153,15 @@ val sync : file -> unit
 val close : file -> unit
 (** Flush and close (an orderly shutdown, not a crash). *)
 
+(** {2 Fault-free file helpers} *)
+
+val read_all : string -> string
+(** A whole file's bytes; a missing file reads as [""]. *)
+
+val atomic_write : string -> string -> unit
+(** Replace a small control file atomically: temp file + fsync +
+    rename, so a crash leaves either the old or the new contents. *)
+
 (** {2 Read-side injection}
 
     Snapshot loads and integrity-scrub passes are read paths: the
@@ -173,8 +178,7 @@ val observe_read : t -> unit
 val read_through : t -> string -> string
 (** Read a whole file, damaged per the plan: the fault-point read
     returns flipped or truncated bytes, raises {!Retryable}, or raises
-    {!Crash}.  A missing file reads as [""], as with recovery's own
-    reader. *)
+    {!Crash}.  A missing file reads as [""], as with {!read_all}. *)
 
 val with_retry :
   ?attempts:int -> ?stats:Storage.Stats.t -> t -> (unit -> 'a) -> 'a

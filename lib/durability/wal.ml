@@ -123,15 +123,7 @@ let append t record =
 let close t = Fault.close t.file
 let appended t = t.appended
 
-(* ---------------- recovery-side reading ---------------- *)
-
-type scanned = {
-  records : record list;
-  committed : int;
-  committed_bytes : int;
-  valid_bytes : int;
-  total_bytes : int;
-}
+(* ---------------- reading ---------------- *)
 
 let parse_frame ~recno line =
   match fields ~count:2 line with
@@ -144,56 +136,14 @@ let parse_frame ~recno line =
     | _ -> None)
   | _ -> None
 
-let scan path =
-  let text =
-    if not (Sys.file_exists path) then ""
-    else
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let n = String.length text in
-  let rec go recs count off committed committed_bytes in_txn =
-    let finish valid_bytes =
-      {
-        records = List.rev recs;
-        committed;
-        committed_bytes;
-        valid_bytes;
-        total_bytes = n;
-      }
-    in
-    if off >= n then finish off
-    else
-      match String.index_from_opt text off '\n' with
-      | None -> finish off (* torn final record: no terminator *)
-      | Some nl -> (
-        let line = String.sub text off (nl - off) in
-        match parse_frame ~recno:(count + 1) line with
-        | None -> finish off (* damaged record: untrusted from here on *)
-        | Some record ->
-          let end_off = nl + 1 in
-          let in_txn', committed', cbytes' =
-            match record with
-            | Begin -> (true, committed, committed_bytes)
-            | Commit | Abort -> (false, count + 1, end_off)
-            | _ when in_txn -> (true, committed, committed_bytes)
-            | _ -> (false, count + 1, end_off)
-          in
-          go (record :: recs) (count + 1) end_off committed' cbytes' in_txn')
-  in
-  go [] 0 0 0 0 false
-
-(* ---------------- incremental scanning ---------------- *)
-
 module Scanner = struct
   exception Bad_record of { recno : int; off : int }
 
   type group = { g_records : record list; g_end : int }
 
   type t = {
-    mutable buf : string;  (* intact-but-unterminated tail bytes *)
+    mutable buf : string;  (* fed bytes; [buf.[pos..]] is unconsumed *)
+    mutable pos : int;
     mutable base : int;  (* absolute offset of [buf]'s first byte *)
     mutable recno : int;
     mutable in_txn : bool;
@@ -206,6 +156,7 @@ module Scanner = struct
   let create () =
     {
       buf = "";
+      pos = 0;
       base = 0;
       recno = 0;
       in_txn = false;
@@ -215,27 +166,32 @@ module Scanner = struct
       ready = [];
     }
 
+  (* Absolute offset just past the last whole record parsed. *)
+  let consumed t = t.base + t.pos
+
   let seal t =
     t.in_txn <- false;
-    t.committed <- t.base;
+    t.committed <- consumed t;
     t.committed_records <- t.recno;
-    t.ready <- { g_records = List.rev t.open_group; g_end = t.base } :: t.ready;
+    t.ready <-
+      { g_records = List.rev t.open_group; g_end = consumed t } :: t.ready;
     t.open_group <- []
 
-  (* Same commit-boundary logic as [scan]: a record outside any
+  (* The commit-boundary rule: a record outside any
      begin..commit/abort span commits by itself; a span commits (or
-     nets out) wholesale at its closing marker. *)
+     nets out) wholesale at its closing marker.  Each line is parsed in
+     place and [pos] advances past it, so draining is linear in the
+     bytes fed. *)
   let rec drain t =
-    match String.index_opt t.buf '\n' with
+    match String.index_from_opt t.buf t.pos '\n' with
     | None -> ()
     | Some nl ->
-      let line = String.sub t.buf 0 nl in
-      (match parse_frame ~recno:(t.recno + 1) line with
-      | None -> raise (Bad_record { recno = t.recno + 1; off = t.base })
+      let recno = t.recno + 1 in
+      (match parse_frame ~recno (String.sub t.buf t.pos (nl - t.pos)) with
+      | None -> raise (Bad_record { recno; off = consumed t })
       | Some record ->
-        t.buf <- String.sub t.buf (nl + 1) (String.length t.buf - nl - 1);
-        t.base <- t.base + nl + 1;
-        t.recno <- t.recno + 1;
+        t.pos <- nl + 1;
+        t.recno <- recno;
         t.open_group <- record :: t.open_group;
         (match record with
         | Begin -> t.in_txn <- true
@@ -245,7 +201,10 @@ module Scanner = struct
       drain t
 
   let feed t s =
-    t.buf <- t.buf ^ s;
+    let rest = String.length t.buf - t.pos in
+    t.base <- consumed t;
+    t.buf <- (if rest = 0 then s else String.sub t.buf t.pos rest ^ s);
+    t.pos <- 0;
     drain t
 
   let take_groups t =
@@ -257,6 +216,38 @@ module Scanner = struct
   let committed_records t = t.committed_records
   let pending_records t = List.length t.open_group
 end
+
+type scanned = {
+  records : record list;
+  committed : int;
+  committed_bytes : int;
+  valid_bytes : int;
+  total_bytes : int;
+  scanner : Scanner.t;
+}
+
+let scan path =
+  let text = Fault.read_all path in
+  let sc = Scanner.create () in
+  (* Recovery is tolerant where a transport is not: a damaged record
+     ends the valid prefix (everything after it is untrusted tail), and
+     so does a final record with no terminator. *)
+  (try Scanner.feed sc text with Scanner.Bad_record _ -> ());
+  let valid_bytes = Scanner.consumed sc in
+  sc.buf <- "";
+  sc.pos <- 0;
+  sc.base <- valid_bytes;
+  let groups = Scanner.take_groups sc in
+  {
+    records =
+      List.concat_map (fun g -> g.Scanner.g_records) groups
+      @ List.rev sc.open_group;
+    committed = sc.committed_records;
+    committed_bytes = sc.committed;
+    valid_bytes;
+    total_bytes = String.length text;
+    scanner = sc;
+  }
 
 exception Replay_error of string
 

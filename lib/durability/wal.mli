@@ -80,40 +80,27 @@ val sync : t -> unit
 val close : t -> unit
 val appended : t -> int
 
-(** {2 Recovery-side reading} *)
+(** {2 Reading}
 
-type scanned = {
-  records : record list;  (** every intact record, in order *)
-  committed : int;  (** length (in records) of the committed prefix *)
-  committed_bytes : int;  (** file offset just past that prefix *)
-  valid_bytes : int;  (** offset past the last intact record *)
-  total_bytes : int;  (** physical size, [> valid_bytes] iff torn *)
-}
-
-val scan : string -> scanned
-(** Read and validate a log.  Scanning stops at the first torn or
-    corrupt record — everything after it is untrusted tail.  A missing
-    file reads as empty. *)
-
-(** {2 Incremental scanning}
-
-    [scan] wants the whole file; a replica tailing a shipped log gets
-    bytes piecemeal and must not re-read history on every frame.  A
-    {!Scanner.t} is the streaming form of the same committed-prefix
-    rule: feed it arbitrary byte slices in order and it emits whole
+    {!Scanner} is the one reader of the committed-prefix rule.  A
+    replica tailing a shipped log, or a primary tracking its own, feeds
+    it byte slices in order as they arrive; recovery's {!scan} is the
+    same scanner fed the whole file in one call.  It emits whole
     committed groups — each an autocommitted record or a closed
     [begin]..[commit]/[abort] span — tagged with the absolute file
-    offset just past the group, so apply progress is expressible in
-    the primary's own byte coordinates. *)
+    offset just past the group, so apply progress is expressible in the
+    primary's own byte coordinates.  Parsing is linear in the bytes
+    fed, however they are sliced. *)
 module Scanner : sig
   exception Bad_record of { recno : int; off : int }
-  (** An intact-looking line failed its frame check.  Unlike [scan],
-      which tolerantly truncates (a torn {e tail} is expected after a
-      crash), a scanner consumes verified frames from a transport: mid
-      -stream damage means the feed itself is corrupt, and [off] — the
-      absolute offset of the bad line — locates it for the error
-      message.  Bytes after the last newline are simply buffered until
-      the rest arrives, so a partial final record never raises. *)
+  (** An intact-looking line failed its frame check.  A scanner
+      consumes verified frames from a transport, so mid-stream damage
+      means the feed itself is corrupt, and [off] — the absolute offset
+      of the bad line — locates it for the error message.  ({!scan},
+      by contrast, reads a file that may end in a crash's torn tail and
+      treats [off] as the end of the valid prefix.)  Bytes after the
+      last newline are simply buffered until the rest arrives, so a
+      partial final record never raises. *)
 
   type group = {
     g_records : record list;  (** the group, markers included *)
@@ -140,6 +127,25 @@ module Scanner : sig
   val pending_records : t -> int
   (** Intact records past the committed point (an open span). *)
 end
+
+type scanned = {
+  records : record list;  (** every intact record, in order *)
+  committed : int;  (** length (in records) of the committed prefix *)
+  committed_bytes : int;  (** file offset just past that prefix *)
+  valid_bytes : int;  (** offset past the last intact record *)
+  total_bytes : int;  (** physical size, [> valid_bytes] iff torn *)
+  scanner : Scanner.t;
+      (** the scanner that read the file, positioned at [valid_bytes]:
+          its groups are taken (they are [records]), and an open span
+          past [committed_bytes] is still pending, so a caller that
+          keeps the log up to [valid_bytes] can feed it the bytes that
+          follow *)
+}
+
+val scan : string -> scanned
+(** Read a log and feed it to one {!Scanner}.  Scanning stops at the
+    first torn or corrupt record — everything after it is untrusted
+    tail.  A missing file reads as empty. *)
 
 exception Replay_error of string
 

@@ -149,8 +149,6 @@ let set_health t f =
       t.health <- Some f;
       t.generation <- t.generation + 1)
 
-let freshness t = with_lock t (fun () -> t.freshness)
-
 let set_freshness t mode =
   with_lock t (fun () ->
       t.freshness <- mode;

@@ -132,8 +132,6 @@ val set_health : t -> (Core.Asr.t -> part:int -> bool) -> unit
       to the maintenance manager's own policy. *)
 type freshness_mode = Catch_up | Degrade
 
-val freshness : t -> freshness_mode
-
 val set_freshness : t -> freshness_mode -> unit
 (** Bumps the generation. *)
 

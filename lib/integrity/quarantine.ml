@@ -28,14 +28,8 @@ let is_quarantined t index ~part =
         (fun e -> e.q_asr == index && (e.q_part = None || e.q_part = Some part))
         t.entries)
 
-let healthy t index ~part = not (is_quarantined t index ~part)
-
 let asr_quarantined t index =
   Mutex.protect t.lock (fun () -> List.exists (fun e -> e.q_asr == index) t.entries)
-
-let entries t =
-  Mutex.protect t.lock (fun () ->
-      List.rev_map (fun e -> (e.q_asr, e.q_part, e.q_reason)) t.entries)
 
 let bump engines = List.iter Engine.invalidate_plans engines
 
@@ -48,7 +42,9 @@ let attach t engine =
           true
         end)
   in
-  if fresh then Engine.set_health engine (fun index ~part -> healthy t index ~part)
+  if fresh then
+    Engine.set_health engine (fun index ~part ->
+        not (is_quarantined t index ~part))
 
 let quarantine ?(reason = "manual") ?part t index =
   let engines =

@@ -31,12 +31,6 @@ val is_quarantined : t -> Core.Asr.t -> part:int -> bool
 val asr_quarantined : t -> Core.Asr.t -> bool
 (** Whether any entry — whole-relation or single-partition — exists. *)
 
-val healthy : t -> Core.Asr.t -> part:int -> bool
-(** The predicate handed to {!Engine.set_health}. *)
-
-val entries : t -> (Core.Asr.t * int option * string) list
-(** Current entries, oldest first, with their reasons. *)
-
 val apply_report : t -> Core.Asr.t -> Scrub.report -> int list
 (** Quarantine every partition a scrub report found diverged; returns
     the (sorted, distinct) partitions quarantined — [[]] means the

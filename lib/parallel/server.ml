@@ -56,7 +56,6 @@ let create ?(jobs = 1) ?(buffer_pages = 0) ?(sizes = fun _ -> 100) ?maintenance 
     buffer_pages = max 0 buffer_pages;
   }
 
-let jobs t = t.jobs
 let pin t = Atomic.get t.current
 let epoch t = Snapshot.epoch (pin t)
 let publish_info t = Atomic.get t.pub

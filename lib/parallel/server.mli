@@ -50,8 +50,6 @@ val create :
     private environment an [n]-page buffer pool; the merged accountant
     then reports cumulative hit/miss/eviction tallies across tasks. *)
 
-val jobs : t -> int
-
 val epoch : t -> int
 (** Epoch of the currently published snapshot. *)
 

@@ -39,8 +39,6 @@ type divergence =
       (** the primary's files exist but fail their own checks, so the
           comparison cannot be trusted *)
 
-val divergence_to_string : divergence -> string
-
 type report = {
   f_dir : string;
   f_generation : int;

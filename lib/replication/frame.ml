@@ -132,16 +132,3 @@ let decode s =
           else parse_body ~at:body_start seq body
       | _ -> err 0 "malformed frame header %S" header)
     | _ -> err 0 "malformed frame header %S" header)
-
-let describe { seq; payload } =
-  match payload with
-  | Wal_slice { gen; off; bytes } ->
-    Printf.sprintf "seq %d: wal gen %d [%d, %d)" seq gen off
-      (off + String.length bytes)
-  | Reset { gen; specs; snapshot } ->
-    Printf.sprintf "seq %d: reset to gen %d (%d specs, %d-byte snapshot)" seq
-      gen (List.length specs)
-      (String.length snapshot)
-  | Digest_frame { gen; off; asr_crcs; _ } ->
-    Printf.sprintf "seq %d: digest gen %d @ %d (%d asrs)" seq gen off
-      (List.length asr_crcs)

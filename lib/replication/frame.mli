@@ -49,6 +49,3 @@ val decode : string -> (t, error) result
 (** Parse and verify one encoded frame.  Never raises: damaged input —
     including {!Durability.Fault.channel_fault.Corrupt_frame} flips —
     comes back as a located [Error]. *)
-
-val describe : t -> string
-(** One-line human description, for logs and error messages. *)

@@ -25,8 +25,6 @@ val create : ?frame_bytes:int -> ?digest_every:int -> Durability.Db.t -> t
     slice; [digest_every] (default 8, [0] = never) sets the digest
     cadence in data frames. *)
 
-val db : t -> Durability.Db.t
-
 val ship : t -> Channel.t -> int
 (** One shipping round: resend anything re-armed by {!rewind}, emit a
     [Reset] if the generation moved, then slice and send every newly

@@ -4,34 +4,6 @@ let error fmt = Format.kasprintf (fun s -> raise (Replica_error s)) fmt
 let marker_file dir = Filename.concat dir "REPLICA"
 let marker_header = "asr-replica v1"
 
-let read_all path =
-  if not (Sys.file_exists path) then ""
-  else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Small control files are replaced atomically, same discipline as the
-   durable base's manifest. *)
-let atomic_write path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 type state = {
   rs_store : Gom.Store.t;
   rs_mgr : Core.Maintenance.t;
@@ -72,7 +44,7 @@ type reject =
 type outcome = Applied of { groups : int; records : int } | Rejected of reject
 
 let write_marker t =
-  atomic_write (marker_file t.r_dir)
+  Durability.Fault.atomic_write (marker_file t.r_dir)
     (Printf.sprintf "%s\ngen %d\n" marker_header t.gen)
 
 let build_state t store specs =
@@ -107,45 +79,26 @@ let open_wal t =
       (Durability.Fault.open_append t.fault
          (Durability.Db.wal_file t.r_dir t.gen))
 
-(* Resume from our own files: load the generation snapshot, chop the
-   local log back to its last intact record — a torn tail from a
+(* Resume from our own files, loading the generation exactly like
+   crash recovery of a durable base, except that the local log is
+   chopped back only to its last intact record: a torn tail from a
    mid-frame kill is damage, but intact records of a still-open span
-   are kept, because the next shipped slice completes them — and
-   replay the committed prefix.  ASRs rebuild from the manifest specs,
-   exactly like crash recovery of a durable base. *)
+   are kept, because the next shipped slice completes them.  The scan
+   that found them hands over its scanner, span pending, so applying
+   continues from there. *)
 let resume t =
-  let gen, specs = Durability.Db.read_manifest t.r_dir in
-  let snap_path = Durability.Db.snapshot_file t.r_dir gen in
-  if not (Sys.file_exists snap_path) then
-    error "replica %s: generation %d snapshot missing" t.r_dir gen;
-  let store =
-    try Gom.Serial.store_of_string (read_all snap_path)
-    with Gom.Serial.Corrupt m -> error "replica snapshot %d: %s" gen m
+  let l =
+    try Durability.Db.load ~fault:t.fault ~keep:`Valid t.r_dir
+    with Durability.Db.Recovery_error m -> error "replica %s: %s" t.r_dir m
   in
-  let wal_path = Durability.Db.wal_file t.r_dir gen in
-  let scanned = Durability.Wal.scan wal_path in
-  if scanned.Durability.Wal.total_bytes > scanned.Durability.Wal.valid_bytes
-  then Unix.truncate wal_path scanned.Durability.Wal.valid_bytes;
-  let text = read_all wal_path in
-  let scanner = Durability.Wal.Scanner.create () in
-  (try Durability.Wal.Scanner.feed scanner text
-   with Durability.Wal.Scanner.Bad_record { recno; off } ->
-     error "replica log %d corrupt at record %d (byte %d)" gen recno off);
-  let groups = Durability.Wal.Scanner.take_groups scanner in
-  let records = ref 0 in
-  List.iter
-    (fun g ->
-      match Durability.Wal.replay store g.Durability.Wal.Scanner.g_records with
-      | n -> records := !records + n
-      | exception Durability.Wal.Replay_error m ->
-        error "replica log %d: %s" gen m)
-    groups;
-  t.gen <- gen;
-  t.scanner <- scanner;
-  t.wal_bytes <- String.length text;
-  t.applied_off <- Durability.Wal.Scanner.committed_bytes scanner;
-  t.applied_records <- !records;
-  t.state <- Some (build_state t store specs);
+  let scanned = l.Durability.Db.l_scanned in
+  t.gen <- l.Durability.Db.l_gen;
+  t.scanner <- scanned.Durability.Wal.scanner;
+  t.wal_bytes <- scanned.Durability.Wal.valid_bytes;
+  t.applied_off <- scanned.Durability.Wal.committed_bytes;
+  t.applied_records <- l.Durability.Db.l_applied;
+  t.state <-
+    Some (build_state t l.Durability.Db.l_store l.Durability.Db.l_specs);
   open_wal t
 
 let create ?fault ?stats ?(policy = Core.Maintenance.Every_k_events 32)
@@ -218,7 +171,9 @@ let apply_reset t ~gen ~snapshot ~specs =
   (* Materialise the new generation on disk before adopting it: the raw
      snapshot bytes (byte-identical to the primary's file), the
      manifest, an empty log. *)
-  atomic_write (Durability.Db.snapshot_file t.r_dir gen) snapshot;
+  Durability.Fault.atomic_write
+    (Durability.Db.snapshot_file t.r_dir gen)
+    snapshot;
   (try Sys.remove (Durability.Db.wal_file t.r_dir gen) with Sys_error _ -> ());
   Durability.Db.write_manifest t.r_dir gen specs;
   t.gen <- gen;
@@ -360,7 +315,6 @@ let offer t encoded =
 
 (* ---------------- observation ---------------- *)
 
-let dir t = t.r_dir
 let generation t = t.gen
 let expected_seq t = t.expected_seq
 
@@ -376,7 +330,6 @@ let diverged t = t.r_diverged
 let epochs t = t.epochs
 let note_watermark t bytes = t.watermark <- max t.watermark bytes
 let lag_bytes t = max 0 (t.watermark - t.applied_off)
-let seeded t = Option.is_some t.state
 
 let store t =
   match t.state with
@@ -387,13 +340,6 @@ let asrs t =
   match t.state with
   | Some st -> Parallel.Snapshot.source_indexes st.rs_source
   | None -> []
-
-let snapshot t = Option.map (fun st -> st.rs_snap) t.state
-
-let flush_maintenance t =
-  match t.state with
-  | Some st -> Core.Maintenance.flush_all st.rs_mgr
-  | None -> 0
 
 let env ?deadline ?max_lag_bytes t =
   match t.state with

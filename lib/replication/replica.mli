@@ -97,8 +97,6 @@ val note_watermark : t -> int -> unit
 (** Teach the replica the primary's committed size (the session relays
     it each round; digest frames carry it too). *)
 
-val seeded : t -> bool
-val dir : t -> string
 val generation : t -> int
 val expected_seq : t -> int
 
@@ -124,13 +122,6 @@ val store : t -> Gom.Store.t
 
 val asrs : t -> Core.Asr.t list
 (** The maintained ASRs, in manifest order ([[]] before seeding). *)
-
-val snapshot : t -> Parallel.Snapshot.t option
-(** The latest published epoch. *)
-
-val flush_maintenance : t -> int
-(** Drain the deferred-delta buffers now (tests; publication and
-    mirrored primary flush barriers do it organically). *)
 
 val close : t -> unit
 (** Close the log file handle.  Idempotent. *)

@@ -39,7 +39,6 @@ let create ?config ?seed ?clock ?stats ?stop_after_sends ~primary ~channel
     steps = 0;
   }
 
-let breaker t = t.breaker
 let steps t = t.steps
 
 let primary_dead t =

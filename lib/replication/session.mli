@@ -49,5 +49,4 @@ val kill : t -> int
     the frames lost. *)
 
 val quiescent : t -> bool
-val breaker : t -> Resilience.Breaker.t
 val steps : t -> int

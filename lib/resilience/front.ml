@@ -378,7 +378,6 @@ let stats t =
     (Mutex.protect t.lock (fun () -> Storage.Stats.snapshot t.stats))
 
 let in_brownout t = Mutex.protect t.lock (fun () -> t.brownout)
-let breaker t = t.breaker
 
 let shutdown t =
   let dispatcher =

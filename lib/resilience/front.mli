@@ -109,7 +109,6 @@ val stats : t -> Storage.Stats.summary
     ([shed], [timed_out], [breaker_open], [stale_epoch_served]). *)
 
 val in_brownout : t -> bool
-val breaker : t -> Breaker.t
 
 val shutdown : t -> unit
 (** Drain every queued entry (resolving all tickets), then join the

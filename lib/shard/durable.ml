@@ -21,26 +21,6 @@ let mkdir_p dir =
   in
   go dir
 
-(* Atomic control-file replacement, same discipline as the Db
-   manifest (temp + fsync + rename). *)
-let atomic_write path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc contents;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 let write_shards_manifest dir ~placement specs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (shards_header ^ "\n");
@@ -52,16 +32,12 @@ let write_shards_manifest dir ~placement specs =
       Buffer.add_string buf
         (Printf.sprintf "asr %s\n" (Durability.Db.spec_to_string s)))
     specs;
-  atomic_write (shards_file dir) (Buffer.contents buf)
+  Durability.Fault.atomic_write (shards_file dir) (Buffer.contents buf)
 
 let read_shards_manifest dir =
   let path = shards_file dir in
   let text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    try Durability.Fault.read_all path
     with Sys_error m -> shard_error "cannot read shards manifest: %s" m
   in
   let lines =
@@ -97,7 +73,7 @@ let read_shards_manifest dir =
     in
     (placement, List.rev !specs)
   | h :: _ -> shard_error "shards manifest: unknown header %S" h
-  | [] -> shard_error "shards manifest: empty"
+  | [] -> shard_error "shards manifest %s: missing or empty" path
 
 (* ---------------- the handle ---------------- *)
 

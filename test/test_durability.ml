@@ -412,6 +412,50 @@ let test_scan_missing_and_damaged () =
       check_int "bit-flipped record rejected" 0 (List.length s.Wal.records);
       check_int "nothing trusted" 0 s.Wal.valid_bytes)
 
+(* Feeding a whole log to a scanner in one call — what recovery's
+   [scan], a resuming replica and a primary's first shipment all do —
+   must cost allocation linear in the log.  A scanner that copied the
+   unparsed rest of its buffer after every line allocated ~850 B per
+   log byte at 1000 records and ~3000 at 4000: the per-byte cost grew
+   with the log.  Allocation, unlike wall-clock time, is deterministic,
+   so this is asserted without timing anything. *)
+let test_scanner_linear () =
+  with_dir (fun dir ->
+      let log_of n =
+        let path = Filename.concat dir (Printf.sprintf "linear-%d.log" n) in
+        let w = Wal.open_append ~policy:Wal.Sync_never path in
+        for i = 1 to n / 4 do
+          let o = Gom.Oid.of_int i in
+          List.iter (Wal.append w)
+            [
+              Wal.Begin;
+              Wal.Set (o, "Name", V.Str (Printf.sprintf "part-%d" i));
+              Wal.Insert (Gom.Oid.of_int 5, V.Ref o);
+              Wal.Commit;
+            ]
+        done;
+        Wal.close w;
+        read_file path
+      in
+      let bytes_per_byte n =
+        let log = log_of n in
+        let sc = Wal.Scanner.create () in
+        let before = Gc.allocated_bytes () in
+        Wal.Scanner.feed sc log;
+        let allocated = Gc.allocated_bytes () -. before in
+        check_int
+          (Printf.sprintf "%d records all committed" n)
+          n (Wal.Scanner.committed_records sc);
+        allocated /. float_of_int (String.length log)
+      in
+      let small = bytes_per_byte 1000 and large = bytes_per_byte 4000 in
+      check
+        (Printf.sprintf
+           "allocation per log byte does not grow with the log (%.0f vs %.0f B/B)"
+           small large)
+        true
+        (large < 1.5 *. small))
+
 let suite =
   [
     Alcotest.test_case "crash at every write x 3 tail fates" `Quick test_crash_sweep;
@@ -428,4 +472,6 @@ let suite =
     Alcotest.test_case "wal record round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "scan: missing file, damaged record" `Quick
       test_scan_missing_and_damaged;
+    Alcotest.test_case "one-call scanner feed allocates linearly" `Quick
+      test_scanner_linear;
   ]

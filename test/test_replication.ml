@@ -614,6 +614,61 @@ let test_crash_sweep () =
       done)
     sweep_variants
 
+(* The other half of the crash story: the crashed replica is not
+   promoted but restarted.  A new process over the same directory
+   resumes from its files — the torn tail chopped, an intact open span
+   handed over pending in the scanner that read the log — and a new
+   session catches it up to the primary, churn made while it was down
+   included. *)
+let test_crash_resume_sweep () =
+  let total_writes =
+    with_dirs (fun pdir rdir ->
+        let fault = Fault.real () in
+        let rig = make_rig ~replica_fault:fault ~frame_bytes:64 pdir rdir in
+        for i = 1 to 3 do
+          churn_round rig.g_db rig.g_base i
+        done;
+        ignore (R.Session.drain rig.g_session);
+        close_rig rig;
+        Fault.writes fault)
+  in
+  List.iter
+    (fun (vname, plan_of) ->
+      for c = 1 to total_writes do
+        with_dirs (fun pdir rdir ->
+            let ctx = Printf.sprintf "%s crash at slice %d, resume" vname c in
+            let rig =
+              make_rig ~replica_fault:(Fault.faulty (plan_of c))
+                ~frame_bytes:64 pdir rdir
+            in
+            for i = 1 to 3 do
+              churn_round rig.g_db rig.g_base i
+            done;
+            let crashed =
+              match R.Session.drain rig.g_session with
+              | _ -> false
+              | exception Fault.Crash -> true
+            in
+            check (ctx ^ ": the crash fired") true crashed;
+            churn_round rig.g_db rig.g_base 4;
+            let stats = Storage.Stats.create () in
+            let channel = R.Channel.create ~stats () in
+            let replica = R.Replica.create ~stats ~dir:rdir () in
+            let session =
+              R.Session.create ~stats ~primary:rig.g_primary ~channel ~replica ()
+            in
+            ignore (R.Session.drain session);
+            check (ctx ^ ": no divergence") true
+              (R.Replica.diverged replica = None);
+            check_int (ctx ^ ": caught up")
+              (R.Primary.committed_bytes rig.g_primary)
+              (R.Replica.applied_bytes replica);
+            assert_equivalent ctx rig.g_db replica;
+            R.Replica.close replica;
+            Db.close rig.g_db)
+      done)
+    sweep_variants
+
 (* ---------------- the QCheck property ---------------- *)
 
 let prop_replica_equals_primary =
@@ -702,5 +757,8 @@ let suite =
         `Quick,
         test_promote_detects_prefix_mismatch );
       ("crash at every replica slice write, promote", `Slow, test_crash_sweep);
+      ( "crash at every replica slice write, resume and catch up",
+        `Slow,
+        test_crash_resume_sweep );
       Qc.to_alcotest prop_replica_equals_primary;
     ]
