@@ -66,21 +66,16 @@ let set_positions_matching schema path ~set_ty =
       | None -> false)
     (List.init n Fun.id)
 
-let owners store (step : Gom.Path.step) set_oid =
-  Gom.Store.extent ~deep:true store step.Gom.Path.domain
-  |> List.filter (fun o ->
-         Gom.Value.equal
-           (Gom.Store.get_attr store o step.Gom.Path.attr)
-           (Gom.Value.Ref set_oid))
-
 (* ------------------------------------------------------------------ *)
 (* I_l / I_r: maximal partial prefixes and suffixes                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Maximal prefixes ending at [oid] sitting at object position [pos]:
-   arrays covering columns 0 .. col(pos).  With [charge], the extent
-   scans that implement backward traversal over uni-directional
-   references are charged to [stats]. *)
+   arrays covering columns 0 .. col(pos).  The referencing objects come
+   from the store's reverse-reference index; with [charge], [stats] still
+   pays the extent scan that the paper prices for backward traversal over
+   uni-directional references (section 6.2), so page counts do not
+   depend on how the CPU side finds them. *)
 let rec graph_prefixes t ~charge path ~pos ~oid =
   let ci = Gom.Path.column_of_object_position path pos in
   if pos = 0 then [ [| Gom.Value.Ref oid |] ]
@@ -300,7 +295,7 @@ let handle_event t index ev =
       set_positions_matching schema path ~set_ty
       |> List.iter (fun i ->
              let step = Gom.Path.step path (i + 1) in
-             let os = owners store step set in
+             let os = Gom.Store.holders store step.Gom.Path.domain step.Gom.Path.attr set in
              let targets = match value_oid elem with Some o -> [ o ] | None -> [] in
              (* An orphan set is not represented in any extension. *)
              List.iter (fun o -> handle_change t index ~i ~obj:o ~targets) os)

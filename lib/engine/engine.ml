@@ -84,16 +84,23 @@ type t = {
   lock : Mutex.t;
       (* Guards every mutable field below.  The engine is shared by the
          parallel server's worker domains: plan-cache lookups, counter
-         updates, generation bumps and profile memoisation all happen
+         updates, generation bumps and live profile counts all live
          under this lock; the expensive parts (candidate pricing,
-         profile measurement, plan execution) run outside it. *)
+         profile walks, plan execution) run outside it. *)
   mutable indexes : Core.Asr.t list;
   mutable generation : int;
       (* Bumped on every store mutation and on index (un)registration;
-         cached plans and measured profiles from older generations are
-         stale. *)
+         cached plans from older generations are stale. *)
   cache : (key, entry) Hashtbl.t;
-  measured : (string, Costmodel.Profile.t) Hashtbl.t;
+  counts : (Gom.Schema.type_name * Gom.Schema.attr_name, attr_counts) Hashtbl.t;
+  type_counts : (Gom.Schema.type_name, int ref) Hashtbl.t;
+      (* Live profile counts per schema attribute and per type (deep
+         extent size), each seeded by one walk when first asked for and
+         kept current by the store subscription. *)
+  mutable counts_epoch : int;  (* the store epoch the live counts reflect *)
+  assembled : (string, Costmodel.Profile.t) Hashtbl.t;
+      (* Profiles assembled from the live counts at [counts_epoch], by
+         path; emptied by every store event. *)
   pinned : (string, Costmodel.Profile.t) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -114,6 +121,18 @@ type t = {
 }
 
 and freshness_mode = Catch_up | Degrade
+
+(* A path's profile is made of integer counts (paper, Fig. 3).  For one
+   attribute over the deep extent of its domain: how many objects define
+   it, how many references they make in total, and a reference count per
+   distinct target (elementary values included), whose number of keys is
+   the distinct-target count. *)
+and attr_counts = {
+  set_valued : bool;
+  mutable defined : int;
+  mutable refs : int;
+  targets : (Gom.Value.t, int ref) Hashtbl.t;
+}
 
 let with_lock t f = Mutex.protect t.lock f
 
@@ -207,7 +226,79 @@ let index_usable ~env t a =
   | None ->
     (not (Gom.Store_view.is_frozen env.Core.Exec.view)) && index_fresh ~env t a
 
+(* ------------------------------------------------------------------ *)
+(* Live profile counts                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Add ([k] > 0) or retract ([k] < 0) [k] references to target [e]. *)
+let bump_target c e k =
+  c.refs <- c.refs + k;
+  match Hashtbl.find_opt c.targets e with
+  | Some r ->
+    r := !r + k;
+    if !r = 0 then Hashtbl.remove c.targets e
+  | None -> Hashtbl.add c.targets e (ref k)
+
+(* Add ([k] = 1) or retract ([k] = -1) one holder whose attribute value
+   is [v]; [elements] reads a collection's current elements. *)
+let tally c ~elements v k =
+  match v with
+  | Gom.Value.Null -> ()
+  | v ->
+    c.defined <- c.defined + k;
+    if c.set_valued then
+      List.iter (fun e -> bump_target c e k) (elements (Gom.Value.oid_exn v))
+    else bump_target c v k
+
+(* Keep the live counts current: one store event changes O(1) counts per
+   tracked key (a set event: one per holder of the set, found through
+   the store's reverse-reference index).  Runs under the lock, on the
+   writer, after the store changed. *)
+let follow_event t store (ev : Gom.Store.event) =
+  let schema = Gom.Store.schema store in
+  let sub ty sup = Gom.Schema.is_subtype schema ~sub:ty ~sup in
+  let types ty k =
+    Hashtbl.iter (fun sup n -> if sub ty sup then n := !n + k) t.type_counts
+  in
+  match ev with
+  | Gom.Store.Created o -> types (Gom.Store.type_of store o) 1
+  | Gom.Store.Deleted { ty; _ } -> types ty (-1)
+  | Gom.Store.Attr_set { obj; attr; old_value; new_value } ->
+    let ty = Gom.Store.type_of store obj in
+    let elements = Gom.Store.elements store in
+    Hashtbl.iter
+      (fun (domain, a) c ->
+        if String.equal a attr && sub ty domain then begin
+          tally c ~elements old_value (-1);
+          tally c ~elements new_value 1
+        end)
+      t.counts
+  | Gom.Store.Set_inserted { set; elem } | Gom.Store.Set_removed { set; elem } ->
+    let k = match ev with Gom.Store.Set_inserted _ -> 1 | _ -> -1 in
+    (* Removing from a list drops every copy of the element, and the
+       event does not say how many there were: such a key is dropped and
+       re-walked when next asked for. *)
+    let drops_copies =
+      k < 0
+      &&
+      match Gom.Schema.find schema (Gom.Store.type_of store set) with
+      | Some (Gom.Schema.List _) -> true
+      | _ -> false
+    in
+    Hashtbl.filter_map_inplace
+      (fun (domain, attr) c ->
+        if not c.set_valued then Some c
+        else
+          match List.length (Gom.Store.holders store domain attr set) with
+          | 0 -> Some c
+          | _ when drops_copies -> None
+          | holders ->
+            bump_target c elem (k * holders);
+            Some c)
+      t.counts
+
 let create ?(sizes = fun _ -> 100) env =
+  let store = Core.Exec.live_store_exn env in
   let t =
     {
       env;
@@ -215,7 +306,10 @@ let create ?(sizes = fun _ -> 100) env =
       indexes = [];
       generation = 0;
       cache = Hashtbl.create 64;
-      measured = Hashtbl.create 8;
+      counts = Hashtbl.create 8;
+      type_counts = Hashtbl.create 8;
+      counts_epoch = Gom.Store.epoch store;
+      assembled = Hashtbl.create 8;
       pinned = Hashtbl.create 4;
       hits = 0;
       misses = 0;
@@ -226,10 +320,12 @@ let create ?(sizes = fun _ -> 100) env =
     }
   in
   let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe (Core.Exec.live_store_exn env) (fun _event ->
+    Gom.Store.subscribe store (fun ev ->
         with_lock t (fun () ->
             t.generation <- t.generation + 1;
-            Hashtbl.reset t.measured))
+            follow_event t store ev;
+            Hashtbl.reset t.assembled;
+            t.counts_epoch <- Gom.Store.epoch store))
   in
   t
 
@@ -297,75 +393,79 @@ let cache_info t =
 (* Profiles                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let measure_profile_view ?(sizes = fun _ -> 100) view path =
+(* The one counting routine: a walk over the deep extent of the step's
+   domain.  Measuring a view reads it off at once; a live key is seeded
+   by it and then follows the store's events. *)
+let count_attr view (step : Gom.Path.step) =
+  let c =
+    {
+      set_valued = step.Gom.Path.set_type <> None;
+      defined = 0;
+      refs = 0;
+      targets = Hashtbl.create 64;
+    }
+  in
+  let elements = Gom.Store_view.elements view in
+  List.iter
+    (fun o -> tally c ~elements (Gom.Store_view.get_attr view o step.Gom.Path.attr) 1)
+    (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
+  c
+
+let attr_key (step : Gom.Path.step) = (step.Gom.Path.domain, step.Gom.Path.attr)
+
+(* The object types of a path whose deep extent sizes are c_i; an
+   elementary terminal type's "extent" is the set of distinct values the
+   last attribute references, i.e. its distinct-target count. *)
+let object_types path =
   let n = Gom.Path.length path in
-  let type_count i =
-    let ty = Gom.Path.type_at path i in
-    if Gom.Schema.is_atomic (Gom.Store_view.schema view) ty then begin
-      (* Elementary terminal type: its "extent" is the set of distinct
-         values actually referenced (their value is their identity). *)
-      let step = Gom.Path.step path n in
-      let values = Hashtbl.create 64 in
-      List.iter
-        (fun o ->
-          match Gom.Store_view.get_attr view o step.Gom.Path.attr with
-          | Gom.Value.Null -> ()
-          | v -> (
-            match step.Gom.Path.set_type with
-            | None -> Hashtbl.replace values v ()
-            | Some _ ->
-              List.iter
-                (fun e -> Hashtbl.replace values e ())
-                (Gom.Store_view.elements view (Gom.Value.oid_exn v))))
-        (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
-      max 1 (Hashtbl.length values)
-    end
-    else max 1 (Gom.Store_view.count ~deep:true view ty)
+  List.init (n + 1) (fun i -> Gom.Path.type_at path i)
+  |> List.filteri (fun i _ -> i < n || (Gom.Path.step path n).Gom.Path.range_atomic = None)
+
+(* c_i, d_i, fan_i and shar_i from the counts of each attribute ([level])
+   and the deep extent size of each object type ([type_count]). *)
+let assemble ~sizes path ~level ~type_count =
+  let n = Gom.Path.length path in
+  let levels = List.init n (fun i -> level (Gom.Path.step path (i + 1))) in
+  let atomic_end = (Gom.Path.step path n).Gom.Path.range_atomic <> None in
+  let c =
+    List.init (n + 1) (fun i ->
+        let count =
+          if i = n && atomic_end then Hashtbl.length (List.nth levels (n - 1)).targets
+          else type_count (Gom.Path.type_at path i)
+        in
+        float_of_int (max 1 count))
   in
-  let level i =
-    (* d_i, total references, distinct referenced targets of A(i+1). *)
-    let step = Gom.Path.step path (i + 1) in
-    let defined = ref 0 in
-    let refs = ref 0 in
-    let distinct = Hashtbl.create 64 in
-    List.iter
-      (fun o ->
-        match Gom.Store_view.get_attr view o step.Gom.Path.attr with
-        | Gom.Value.Null -> ()
-        | v -> (
-          incr defined;
-          match step.Gom.Path.set_type with
-          | None ->
-            incr refs;
-            Hashtbl.replace distinct v ()
-          | Some _ ->
-            List.iter
-              (fun e ->
-                incr refs;
-                Hashtbl.replace distinct e ())
-              (Gom.Store_view.elements view (Gom.Value.oid_exn v))))
-      (Gom.Store_view.extent ~deep:true view step.Gom.Path.domain);
-    (!defined, !refs, Hashtbl.length distinct)
-  in
-  let stats = List.init n level in
-  let c = List.init (n + 1) (fun i -> float_of_int (type_count i)) in
-  let d = List.map (fun (defined, _, _) -> float_of_int defined) stats in
+  let d = List.map (fun l -> float_of_int l.defined) levels in
   let fan =
     List.map
-      (fun (defined, refs, _) ->
-        if defined = 0 then 0. else float_of_int refs /. float_of_int defined)
-      stats
+      (fun l -> if l.defined = 0 then 0. else float_of_int l.refs /. float_of_int l.defined)
+      levels
   in
   let shar =
     List.map
-      (fun (_, refs, distinct) ->
-        if distinct = 0 then 0. else float_of_int refs /. float_of_int distinct)
-      stats
+      (fun l ->
+        let distinct = Hashtbl.length l.targets in
+        if distinct = 0 then 0. else float_of_int l.refs /. float_of_int distinct)
+      levels
   in
   let size_list =
     List.init (n + 1) (fun i -> float_of_int (max 1 (sizes (Gom.Path.type_at path i))))
   in
   Costmodel.Profile.make ~sizes:size_list ~shar ~c ~d ~fan ()
+
+(* Every count a path's profile needs, walked from a view: per attribute
+   and per object type, keyed as the live counts are. *)
+let walk view path =
+  ( List.map (fun s -> (attr_key s, count_attr view s)) path.Gom.Path.steps,
+    List.map (fun ty -> (ty, Gom.Store_view.count ~deep:true view ty)) (object_types path) )
+
+let assemble_walked ~sizes path (attrs, types) =
+  assemble ~sizes path
+    ~level:(fun s -> List.assoc (attr_key s) attrs)
+    ~type_count:(fun ty -> List.assoc ty types)
+
+let measure_profile_view ?(sizes = fun _ -> 100) view path =
+  assemble_walked ~sizes path (walk view path)
 
 let measure_profile ?sizes store path =
   measure_profile_view ?sizes (Gom.Store_view.live store) path
@@ -375,36 +475,69 @@ let set_profile t path prof =
       Hashtbl.replace t.pinned (Gom.Path.to_string path) prof;
       t.generation <- t.generation + 1)
 
-let profile_in ~env t path =
-  let key = Gom.Path.to_string path in
-  let memoised =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.pinned key with
-        | Some p -> Some p
-        | None -> Hashtbl.find_opt t.measured key)
-  in
-  match memoised with
-  | Some p -> p
-  | None ->
-    (* Measure outside the lock, over the {e caller's} view: a worker
-       domain measures its own frozen snapshot (immutable, so the walk
-       can never race the writer), the engine's own environment measures
-       the live base.  Two domains missing simultaneously publish
-       near-identical profiles; the first insert wins, and any store
-       mutation resets the memo — a stale entry can only mis-price a
-       plan, never mis-answer a query. *)
-    let p = measure_profile_view ~sizes:t.sizes env.Core.Exec.view path in
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.pinned key with
-        | Some pinned -> pinned
-        | None -> (
-          match Hashtbl.find_opt t.measured key with
-          | Some first -> first
-          | None ->
-            Hashtbl.replace t.measured key p;
-            p))
+(* The profile from the live counts, if every key of the path is
+   tracked.  Called under the lock. *)
+let live_profile t path =
+  let steps = (path : Gom.Path.t).Gom.Path.steps in
+  if
+    List.for_all (fun s -> Hashtbl.mem t.counts (attr_key s)) steps
+    && List.for_all (Hashtbl.mem t.type_counts) (object_types path)
+  then
+    Some
+      (assemble ~sizes:t.sizes path
+         ~level:(fun s -> Hashtbl.find t.counts (attr_key s))
+         ~type_count:(fun ty -> !(Hashtbl.find t.type_counts ty)))
+  else None
 
-let profile t path = profile_in ~env:t.env t path
+let profile_in ~env t path =
+  let view = env.Core.Exec.view in
+  let at = Gom.Store_view.epoch view in
+  let key = Gom.Path.to_string path in
+  let remember p =
+    Hashtbl.replace t.assembled key p;
+    p
+  in
+  let known =
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.pinned key with
+        | Some p -> `Profile p
+        | None when at <> t.counts_epoch -> `Lagging
+        | None -> (
+          match Hashtbl.find_opt t.assembled key with
+          | Some p -> `Profile p
+          | None -> (
+            match live_profile t path with
+            | Some p -> `Profile (remember p)
+            | None -> `Seed)))
+  in
+  match known with
+  | `Profile p -> p
+  | `Lagging ->
+    (* A frozen view behind the live store: its counts are not tracked,
+       so it is measured by the walk. *)
+    measure_profile_view ~sizes:t.sizes view path
+  | `Seed ->
+    (* Walk the caller's view outside the lock (a worker walks its frozen
+       snapshot, which cannot race the writer); the untracked keys start
+       following the store from these counts unless an event arrived
+       meanwhile. *)
+    let ((attrs, types) as walked) = walk view path in
+    with_lock t (fun () ->
+        let p = assemble_walked ~sizes:t.sizes path walked in
+        if at <> t.counts_epoch then p
+        else begin
+          List.iter
+            (fun (k, c) -> if not (Hashtbl.mem t.counts k) then Hashtbl.add t.counts k c)
+            attrs;
+          List.iter
+            (fun (ty, n) ->
+              if not (Hashtbl.mem t.type_counts ty) then
+                Hashtbl.add t.type_counts ty (ref n))
+            types;
+          remember p
+        end)
+
+let profile ?env t path = profile_in ~env:(resolve_env t env) t path
 
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)

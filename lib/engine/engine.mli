@@ -29,7 +29,7 @@
 
     {2 Domain safety}
 
-    All mutable engine state — plan cache, memoised profiles, health
+    All mutable engine state — plan cache, live profile counts, health
     oracle, registration list, generation — sits behind one internal
     mutex, so many OCaml 5 domains may plan and execute queries against
     the {e same frozen store} concurrently.  A plan computed outside the
@@ -84,7 +84,8 @@ type cache_info = { hits : int; misses : int; invalidations : int; entries : int
 val create : ?sizes:(Gom.Schema.type_name -> int) -> Core.Exec.env -> t
 (** An engine over the environment's store; [sizes] (default [100]
     bytes per object) feeds measured profiles.  Subscribes to the store:
-    every mutation bumps the generation and drops measured profiles. *)
+    every mutation bumps the generation and updates the live profile
+    counts (see {!profile}). *)
 
 val env : t -> Core.Exec.env
 val indexes : t -> Core.Asr.t list
@@ -161,9 +162,18 @@ val set_profile : t -> Gom.Path.t -> Costmodel.Profile.t -> unit
     future workload, or a deterministic profile for tests).  Bumps the
     generation. *)
 
-val profile : t -> Gom.Path.t -> Costmodel.Profile.t
-(** The profile the planner uses for a path: pinned if set, else
-    measured (memoised until the next store mutation). *)
+val profile : ?env:Core.Exec.env -> t -> Gom.Path.t -> Costmodel.Profile.t
+(** The profile the planner uses for a path (on behalf of [?env], as
+    for {!choose}): pinned if set, else
+    assembled from live counts, equal float for float to
+    {!measure_profile} of the current base.  The engine keeps the counts
+    per schema attribute (defined, references, and a reference count
+    per distinct target) and per type (deep extent size): each is
+    seeded by one walk the first time a path needs it, then follows the
+    store's events in O(change), so memory is bounded by the schema and
+    a write costs no re-measure.  Planning on behalf of a frozen view
+    uses the counts when the view is at the live store's epoch, and
+    walks the view when it lags. *)
 
 (* {2 Planning} *)
 

@@ -156,7 +156,12 @@ let extent ?(deep = false) t ty =
     |> List.concat_map exact
     |> List.sort Oid.compare
 
-let count ?deep t ty = List.length (extent ?deep t ty)
+let count ?(deep = false) t ty =
+  let exact ty =
+    match Smap.find_opt ty t.extents with Some l -> List.length l | None -> 0
+  in
+  if not deep then exact ty
+  else List.fold_left (fun n ty -> n + exact ty) 0 (Schema.subtypes_closure t.schema ty)
 
 let fold_objects t ~init ~f =
   (* Omap iterates in ascending identifier order = creation order. *)
@@ -164,18 +169,3 @@ let fold_objects t ~init ~f =
 
 let find_name t name = Smap.find_opt name t.names
 let names t = Smap.bindings t.names
-
-let referencers t ty attr v =
-  let decl_is_set =
-    match Schema.attr_type t.schema ty attr with
-    | Some rty -> Schema.is_set t.schema rty || Schema.element_type t.schema rty <> None
-    | None -> error "type %s has no attribute %s" ty attr
-  in
-  extent ~deep:true t ty
-  |> List.filter_map (fun o ->
-         match get_attr t o attr with
-         | Value.Null -> None
-         | Value.Ref s when decl_is_set ->
-           if List.exists (Value.equal v) (elements t s) then Some (o, Some s)
-           else None
-         | direct -> if Value.equal direct v then Some (o, None) else None)

@@ -14,12 +14,21 @@ exception Type_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
+(* An exact extent: its objects in reverse creation order, and how many. *)
+type extent = { mutable rev : Oid.t list; mutable len : int }
+
 type t = {
   schema : Schema.t;
   gen : Oid.gen;
   objects : (Oid.t, Instance.t) Hashtbl.t;
-  extents : (Schema.type_name, Oid.t list ref) Hashtbl.t; (* reverse creation order *)
+  extents : (Schema.type_name, extent) Hashtbl.t;
   names : (string, Oid.t) Hashtbl.t;
+  attr_in : (Oid.t, (Oid.t * Schema.attr_name) list) Hashtbl.t;
+      (* reverse references: target -> (holder, attribute) for every
+         attribute whose value is [Ref target] *)
+  elem_in : (Oid.t, Oid.t list) Hashtbl.t;
+      (* element -> the collections holding [Ref element]; a list holding
+         it several times appears once, since removal drops them all *)
   mutable listeners : (int * (event -> unit)) list; (* reverse subscription order *)
   mutable next_subscription : int;
   mutable epoch : int; (* bumped once per emitted mutation event *)
@@ -35,6 +44,8 @@ let create schema =
     objects = Hashtbl.create 1024;
     extents = Hashtbl.create 64;
     names = Hashtbl.create 16;
+    attr_in = Hashtbl.create 1024;
+    elem_in = Hashtbl.create 1024;
     listeners = [];
     next_subscription = 0;
     epoch = 0;
@@ -69,13 +80,33 @@ let mem t oid = Hashtbl.mem t.objects oid
 
 let type_of t oid = Instance.ty (get_exn t oid)
 
-let extent_ref t ty =
+let extent_of t ty =
   match Hashtbl.find_opt t.extents ty with
-  | Some r -> r
+  | Some e -> e
   | None ->
-    let r = ref [] in
-    Hashtbl.add t.extents ty r;
-    r
+    let e = { rev = []; len = 0 } in
+    Hashtbl.add t.extents ty e;
+    e
+
+let add_to_extent t ty oid =
+  let e = extent_of t ty in
+  e.rev <- oid :: e.rev;
+  e.len <- e.len + 1
+
+(* Reverse-reference bookkeeping.  Maintained by the mutators below, so
+   it always describes the current state; never persisted (loading a
+   snapshot replays the mutators, which rebuild it). *)
+let index_add tbl key x =
+  let l = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+  Hashtbl.replace tbl key (x :: l)
+
+let index_remove tbl key eq =
+  match Hashtbl.find_opt tbl key with
+  | None -> ()
+  | Some l -> (
+    match List.filter (fun x -> not (eq x)) l with
+    | [] -> Hashtbl.remove tbl key
+    | l -> Hashtbl.replace tbl key l)
 
 let new_object t ty =
   (match Schema.find t.schema ty with
@@ -94,8 +125,7 @@ let new_object t ty =
     | Schema.Atomic _ -> assert false
   in
   Hashtbl.replace t.objects oid (Instance.make oid ty body);
-  let r = extent_ref t ty in
-  r := oid :: !r;
+  add_to_extent t ty oid;
   emit t (Created oid);
   oid
 
@@ -145,6 +175,11 @@ let set_attr t oid attr v =
   let old_value = Option.value ~default:Value.Null (Hashtbl.find_opt tbl attr) in
   if not (Value.equal old_value v) then begin
     Hashtbl.replace tbl attr v;
+    (match old_value with
+    | Value.Ref o ->
+      index_remove t.attr_in o (fun (h, a) -> Oid.equal h oid && String.equal a attr)
+    | _ -> ());
+    (match v with Value.Ref o -> index_add t.attr_in o (oid, attr) | _ -> ());
     emit t (Attr_set { obj = oid; attr; old_value; new_value = v })
   end
 
@@ -158,28 +193,43 @@ let insert_elem t oid v =
   check_conforms t ~what:"insert_elem" ~decl v;
   if Value.is_null v then error "cannot insert NULL into a set";
   let inst = get_exn t oid in
+  let note_element () =
+    match v with
+    | Value.Ref e ->
+      let holders = Option.value ~default:[] (Hashtbl.find_opt t.elem_in e) in
+      if not (List.exists (Oid.equal oid) holders) then
+        Hashtbl.replace t.elem_in e (oid :: holders)
+    | _ -> ()
+  in
   match inst.body with
   | Instance.Set_body tbl ->
     if not (Hashtbl.mem tbl v) then begin
       Hashtbl.replace tbl v ();
+      note_element ();
       emit t (Set_inserted { set = oid; elem = v })
     end
   | Instance.List_body l ->
     l := !l @ [ v ];
+    note_element ();
     emit t (Set_inserted { set = oid; elem = v })
   | Instance.Tuple_body _ -> error "insert_elem: not a collection"
 
 let remove_elem t oid v =
   let inst = get_exn t oid in
+  let forget_element () =
+    match v with Value.Ref e -> index_remove t.elem_in e (Oid.equal oid) | _ -> ()
+  in
   match inst.body with
   | Instance.Set_body tbl ->
     if Hashtbl.mem tbl v then begin
       Hashtbl.remove tbl v;
+      forget_element ();
       emit t (Set_removed { set = oid; elem = v })
     end
   | Instance.List_body l ->
     if List.exists (Value.equal v) !l then begin
       l := List.filter (fun x -> not (Value.equal x v)) !l;
+      forget_element ();
       emit t (Set_removed { set = oid; elem = v })
     end
   | Instance.Tuple_body _ -> error "remove_elem: not a collection"
@@ -188,7 +238,7 @@ let elements t oid = Instance.elements (get_exn t oid)
 
 let extent ?(deep = false) t ty =
   let exact ty =
-    match Hashtbl.find_opt t.extents ty with Some r -> List.rev !r | None -> []
+    match Hashtbl.find_opt t.extents ty with Some e -> List.rev e.rev | None -> []
   in
   if not deep then exact ty
   else
@@ -196,7 +246,10 @@ let extent ?(deep = false) t ty =
     |> List.concat_map exact
     |> List.sort Oid.compare
 
-let count ?deep t ty = List.length (extent ?deep t ty)
+let count ?(deep = false) t ty =
+  let exact ty = match Hashtbl.find_opt t.extents ty with Some e -> e.len | None -> 0 in
+  if not deep then exact ty
+  else List.fold_left (fun n ty -> n + exact ty) 0 (Schema.subtypes_closure t.schema ty)
 
 (* Raw extent list in reverse creation order, as stored.  The returned
    list is the current value of the extent ref: list cells are immutable
@@ -205,10 +258,10 @@ let count ?deep t ty = List.length (extent ?deep t ty)
    point-in-time extent even while the store keeps mutating — the basis
    of structural sharing in frozen snapshots. *)
 let extent_rev t ty =
-  match Hashtbl.find_opt t.extents ty with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.extents ty with Some e -> e.rev | None -> []
 
 let extent_types t =
-  Hashtbl.fold (fun ty r acc -> if !r = [] then acc else ty :: acc) t.extents []
+  Hashtbl.fold (fun ty e acc -> if e.len = 0 then acc else ty :: acc) t.extents []
   |> List.sort String.compare
 
 let fold_objects t ~init ~f =
@@ -244,9 +297,18 @@ let restore_object t oid ty =
   in
   Hashtbl.replace t.objects oid (Instance.make oid ty body);
   Oid.ensure_above t.gen oid;
-  let r = extent_ref t ty in
-  r := oid :: !r;
+  add_to_extent t ty oid;
   emit t (Created oid)
+
+let holders t ty attr target =
+  Option.value ~default:[] (Hashtbl.find_opt t.attr_in target)
+  |> List.filter_map (fun (h, a) ->
+         if String.equal a attr && Schema.is_subtype t.schema ~sub:(type_of t h) ~sup:ty
+         then Some h
+         else None)
+  |> List.sort Oid.compare
+
+let containers t elem = Option.value ~default:[] (Hashtbl.find_opt t.elem_in elem)
 
 let referencers t ty attr v =
   let decl_is_set =
@@ -254,33 +316,37 @@ let referencers t ty attr v =
     | Some rty -> Schema.is_set t.schema rty || Schema.element_type t.schema rty <> None
     | None -> error "type %s has no attribute %s" ty attr
   in
-  extent ~deep:true t ty
-  |> List.filter_map (fun o ->
-         match get_attr t o attr with
-         | Value.Null -> None
-         | Value.Ref s when decl_is_set ->
-           if List.exists (Value.equal v) (elements t s) then Some (o, Some s) else None
-         | direct -> if Value.equal direct v then Some (o, None) else None)
+  match v with
+  | Value.Ref target when decl_is_set ->
+    containers t target
+    |> List.concat_map (fun s -> List.map (fun h -> (h, Some s)) (holders t ty attr s))
+    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  | Value.Ref target -> List.map (fun h -> (h, None)) (holders t ty attr target)
+  | _ -> []
 
 let delete t oid =
   let inst = get_exn t oid in
   let target = Value.Ref oid in
   (* Nullify every inbound reference first, each through the regular
-     mutators so that listeners observe consistent intermediate states. *)
+     mutators so that listeners observe consistent intermediate states:
+     holders in descending identifier order, a tuple holder's attributes
+     in reverse order of its table. *)
+  let inbound =
+    let attr_holders = Option.value ~default:[] (Hashtbl.find_opt t.attr_in oid) in
+    List.map fst attr_holders @ containers t oid
+    |> List.sort_uniq (fun a b -> Oid.compare b a)
+    |> List.filter (fun h -> not (Oid.equal h oid))
+  in
   let holders =
-    fold_objects t ~init:[] ~f:(fun acc i ->
-        if Oid.equal (Instance.oid i) oid then acc
-        else
-          match i.Instance.body with
-          | Instance.Tuple_body tbl ->
-            Hashtbl.fold
-              (fun a v acc -> if Value.equal v target then `Attr (Instance.oid i, a) :: acc else acc)
-              tbl acc
-          | Instance.Set_body tbl ->
-            if Hashtbl.mem tbl target then `Elem (Instance.oid i) :: acc else acc
-          | Instance.List_body l ->
-            if List.exists (Value.equal target) !l then `Elem (Instance.oid i) :: acc
-            else acc)
+    List.concat_map
+      (fun h ->
+        match (get_exn t h).Instance.body with
+        | Instance.Tuple_body tbl ->
+          Hashtbl.fold
+            (fun a v acc -> if Value.equal v target then `Attr (h, a) :: acc else acc)
+            tbl []
+        | Instance.Set_body _ | Instance.List_body _ -> [ `Elem h ])
+      inbound
   in
   List.iter
     (function
@@ -298,8 +364,9 @@ let delete t oid =
   | Instance.Set_body _ | Instance.List_body _ ->
     List.iter (fun v -> remove_elem t oid v) (elements t oid));
   Hashtbl.remove t.objects oid;
-  let r = extent_ref t (Instance.ty inst) in
-  r := List.filter (fun o -> not (Oid.equal o oid)) !r;
+  let e = extent_of t (Instance.ty inst) in
+  e.rev <- List.filter (fun o -> not (Oid.equal o oid)) e.rev;
+  e.len <- e.len - 1;
   Hashtbl.iter
     (fun n o -> if Oid.equal o oid then Hashtbl.remove t.names n)
     (Hashtbl.copy t.names);

@@ -72,13 +72,17 @@ val elements : t -> Oid.t -> Value.t list
 val delete : t -> Oid.t -> unit
 (** Delete an object: all references to it anywhere in the base are
     first nullified/removed (emitting the corresponding events), then
-    the object disappears and [Deleted] is emitted. *)
+    the object disappears and [Deleted] is emitted.  The referencing
+    objects come from the reverse-reference index and are visited in
+    descending identifier order. *)
 
 val extent : ?deep:bool -> t -> Schema.type_name -> Oid.t list
 (** Objects of exactly this type in creation order; with [~deep:true]
     (default [false]) instances of subtypes are included. *)
 
 val count : ?deep:bool -> t -> Schema.type_name -> int
+(** Length of {!extent}, summed from the exact extents' stored lengths:
+    O(number of subtypes), no list is built. *)
 
 val extent_rev : t -> Schema.type_name -> Oid.t list
 (** Raw extent in {e reverse} creation order, exactly as stored.  The
@@ -127,6 +131,18 @@ val referencers :
 (** [referencers t ty attr v] finds the objects of type [ty] (deep
     extent) whose attribute [attr] leads to [v]: directly
     ([(o, None)]) for single-valued attributes, or through a set
-    ([(o, Some set_oid)]) for set-valued ones.  Implemented by an extent
-    scan — references are uni-directional in GOM, so backward traversal
-    has no physical support (that is the paper's motivation). *)
+    ([(o, Some set_oid)]) for set-valued ones, in ascending identifier
+    order.  Only object references have referencers: [[]] for any [v]
+    that is not a [Ref].  References are uni-directional in GOM, so the
+    store answers this from a reverse-reference index of its own (kept
+    by the mutators, never persisted) in time proportional to the
+    in-degree of [v], not to the size of the base. *)
+
+val holders : t -> Schema.type_name -> Schema.attr_name -> Oid.t -> Oid.t list
+(** [holders t ty attr o]: the objects of type [ty] (deep extent) whose
+    attribute [attr] is [Ref o], in ascending identifier order.  Read
+    from the reverse-reference index: O(in-degree of [o]). *)
+
+val containers : t -> Oid.t -> Oid.t list
+(** The set and list instances holding [Ref o], each once, in no
+    particular order.  Read from the reverse-reference index. *)

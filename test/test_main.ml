@@ -20,6 +20,7 @@ let () =
       ("engine", Test_engine.suite);
       ("maintenance", Test_maintenance.suite);
       ("maintenance-batch", Test_maintenance_batch.suite);
+      ("live-counts", Test_live.suite);
       ("share", Test_share.suite);
       ("baselines", Test_baselines.suite);
       ("profiler", Test_profiler.suite);

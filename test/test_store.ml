@@ -141,6 +141,47 @@ let test_delete_nullifies () =
   check_int "set emptied" 0 (List.length (St.elements st s));
   check_int "extent shrank" 0 (List.length (St.extent st "Leaf"))
 
+(* Inbound references are nullified holder by holder in descending
+   identifier order, then the object's own attributes, then [Deleted]. *)
+let test_delete_event_order () =
+  let st = store () in
+  let leaf = St.new_object st "Leaf" in
+  St.set_attr st leaf "name" (V.Str "x");
+  let n1 = St.new_object st "Node" in
+  let s = St.new_object st "LeafSet" in
+  let n2 = St.new_object st "Node" in
+  St.set_attr st n1 "leaf" (V.Ref leaf);
+  St.set_attr st n2 "leaf" (V.Ref leaf);
+  St.insert_elem st s (V.Ref leaf);
+  St.set_attr st n1 "leaves" (V.Ref s);
+  let log = ref [] in
+  let (_ : St.subscription) = St.subscribe st (fun ev -> log := ev :: !log) in
+  St.delete st leaf;
+  let oid o = Format.asprintf "%a" Gom.Oid.pp o in
+  let show = function
+    | St.Created o -> "created " ^ oid o
+    | St.Attr_set { obj; attr; old_value; new_value } ->
+      Printf.sprintf "attr %s.%s %s->%s" (oid obj) attr (V.to_string old_value)
+        (V.to_string new_value)
+    | St.Set_inserted { set; elem } ->
+      Printf.sprintf "ins %s %s" (oid set) (V.to_string elem)
+    | St.Set_removed { set; elem } ->
+      Printf.sprintf "rem %s %s" (oid set) (V.to_string elem)
+    | St.Deleted { obj; ty } -> Printf.sprintf "del %s %s" (oid obj) ty
+  in
+  let l = V.to_string (V.Ref leaf) in
+  Alcotest.(check (list string))
+    "delete events"
+    [
+      Printf.sprintf "attr %s.leaf %s->%s" (oid n2) l (V.to_string V.Null);
+      Printf.sprintf "rem %s %s" (oid s) l;
+      Printf.sprintf "attr %s.leaf %s->%s" (oid n1) l (V.to_string V.Null);
+      Printf.sprintf "attr %s.name %s->%s" (oid leaf) (V.to_string (V.Str "x"))
+        (V.to_string V.Null);
+      Printf.sprintf "del %s Leaf" (oid leaf);
+    ]
+    (List.rev_map show !log)
+
 let test_names () =
   let st = store () in
   let o = St.new_object st "Node" in
@@ -162,5 +203,7 @@ let suite =
     Alcotest.test_case "mutation events" `Quick test_events;
     Alcotest.test_case "referencers" `Quick test_referencers;
     Alcotest.test_case "delete nullifies references" `Quick test_delete_nullifies;
+    Alcotest.test_case "delete event order with three holders" `Quick
+      test_delete_event_order;
     Alcotest.test_case "persistent names" `Quick test_names;
   ]
