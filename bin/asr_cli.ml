@@ -445,32 +445,23 @@ let serve_cmd base file path_spec index_spec flush_policy jobs buffer_pages work
       | Some p -> p
       | None -> exit_usage "--path is required for a file base")
   in
-  let live_indexes =
+  let specs =
     match index_spec with
     | None -> []
-    | Some spec -> [ parse_index store path spec ]
+    | Some spec ->
+      let kind, dec = parse_index_spec path spec in
+      [ { Parallel.Snapshot.sp_path = path; sp_kind = kind; sp_decomposition = dec } ]
   in
-  let specs =
-    List.map
-      (fun a ->
-        {
-          Parallel.Snapshot.sp_path = Core.Asr.path a;
-          sp_kind = Core.Asr.kind a;
-          sp_decomposition = Core.Asr.decomposition a;
-        })
-      live_indexes
-  in
-  (* Under a deferred policy the live base's relations buffer their tree
-     writes; the server flushes them before every snapshot publication,
-     so served epochs stay delta-free. *)
+  (* Under a deferred policy the server builds its relations into this
+     manager; they buffer their tree writes, and the server flushes them
+     before every snapshot publication, so served epochs stay
+     delta-free. *)
   let maintenance =
     match flush_policy with
     | None -> None
     | Some s ->
-      let p = parse_flush_policy s in
       let m = Core.Maintenance.create env in
-      List.iter (Core.Maintenance.register m) live_indexes;
-      Core.Maintenance.set_policy m p;
+      Core.Maintenance.set_policy m (parse_flush_policy s);
       Some m
   in
   let queries = parse_workload store env path workload in

@@ -174,27 +174,36 @@ let referenced_now store path ~pos ~oid =
     <> []
 
 (* Core routine: attribute [A(i+1)] of [obj] changed; [targets] are the
-   position-(i+1) objects gaining or losing an inbound edge. *)
+   position-(i+1) objects gaining or losing an inbound edge.  The routine
+   gathers the retracted tuples R (step 1) and the derived tuples I
+   (steps 2 and 3), then applies only the net change: R minus I leaves
+   the relation, I minus R enters it.  A tuple the change does not touch
+   is in both and costs no tree write and no buffered delta. *)
 let handle_change t index ~i ~obj ~targets =
   let path = Asr.path index in
   let kind = Asr.kind index in
   let ci = Gom.Path.column_of_object_position path i in
   let ci1 = Gom.Path.column_of_object_position path (i + 1) in
-  (* 1. Retract tuples through obj and truncated tuples of targets. *)
+  (* 1. R: the tuples through obj and the truncated tuples of targets. *)
   let affected =
     Asr.find_by_column ~stats:t.stats index ~col:ci (Gom.Value.Ref obj)
   in
-  List.iter (fun tup -> ignore (Asr.remove_tuple ~stats:t.stats index tup)) affected;
-  (match kind with
-  | Extension.Full | Extension.Right_complete ->
-    List.iter
-      (fun x ->
-        Asr.find_by_column ~stats:t.stats index ~col:ci1 (Gom.Value.Ref x)
-        |> List.iter (fun (tup : Relation.Tuple.t) ->
-               if Gom.Value.is_null tup.(ci) then
-                 ignore (Asr.remove_tuple ~stats:t.stats index tup)))
-      targets
-  | Extension.Canonical | Extension.Left_complete -> ());
+  let truncated =
+    match kind with
+    | Extension.Full | Extension.Right_complete ->
+      List.concat_map
+        (fun x ->
+          Asr.find_by_column ~stats:t.stats index ~col:ci1 (Gom.Value.Ref x)
+          |> List.filter (fun (tup : Relation.Tuple.t) -> Gom.Value.is_null tup.(ci)))
+        targets
+    | Extension.Canonical | Extension.Left_complete -> []
+  in
+  let retracted = Relation.of_list ~width:(Asr.arity index) (affected @ truncated) in
+  let derived = ref (Relation.empty (Asr.arity index)) in
+  let derive tup =
+    if has_edge tup && Extension.member kind path tup then
+      derived := Relation.add !derived tup
+  in
   (* 2. Recompute the paths through obj. *)
   let prefixes =
     match kind with
@@ -227,15 +236,7 @@ let handle_change t index ~i ~obj ~targets =
   in
   if prefixes <> [] then begin
     let suffixes = graph_suffixes t path ~pos:i ~oid:obj in
-    List.iter
-      (fun pre ->
-        List.iter
-          (fun suf ->
-            let tup = combine pre suf in
-            if has_edge tup && Extension.member kind path tup then
-              ignore (Asr.insert_tuple ~stats:t.stats index tup))
-          suffixes)
-      prefixes
+    List.iter (fun pre -> List.iter (fun suf -> derive (combine pre suf)) suffixes) prefixes
   end;
   (* 3. Orphaned targets regain their truncated tuples. *)
   (match kind with
@@ -246,19 +247,26 @@ let handle_change t index ~i ~obj ~targets =
           Gom.Store.mem t.store x
           && not (referenced_now t.store path ~pos:(i + 1) ~oid:x)
         then begin
-          let cx = ci1 in
-          let pre = Array.make (cx + 1) Gom.Value.Null in
-          pre.(cx) <- Gom.Value.Ref x;
-          let sufs = graph_suffixes t path ~pos:(i + 1) ~oid:x in
+          let pre = Array.make (ci1 + 1) Gom.Value.Null in
+          pre.(ci1) <- Gom.Value.Ref x;
           List.iter
-            (fun suf ->
-              let tup = combine pre suf in
-              if has_edge tup && Extension.member kind path tup then
-                ignore (Asr.insert_tuple ~stats:t.stats index tup))
-            sufs
+            (fun suf -> derive (combine pre suf))
+            (graph_suffixes t path ~pos:(i + 1) ~oid:x)
         end)
       targets
-  | Extension.Canonical | Extension.Left_complete -> ())
+  | Extension.Canonical | Extension.Left_complete -> ());
+  (* 4. The net change: R \ I out, I \ R in. *)
+  let derived = !derived in
+  List.iter
+    (fun tup ->
+      if not (Relation.mem derived tup) then
+        ignore (Asr.remove_tuple ~stats:t.stats index tup))
+    (Relation.to_list retracted);
+  List.iter
+    (fun tup ->
+      if not (Relation.mem retracted tup) then
+        ignore (Asr.insert_tuple ~stats:t.stats index tup))
+    (Relation.to_list derived)
 
 let targets_of_value t (step : Gom.Path.step) v =
   match v with

@@ -336,6 +336,11 @@ let flush_maintenance t =
     n
   end
 
+let remove_generation dir gen =
+  List.iter
+    (fun f -> try Sys.remove f with Sys_error _ -> ())
+    [ snapshot_file dir gen; wal_file dir gen ]
+
 let checkpoint t =
   ensure_open t;
   Wal.sync t.wal;
@@ -351,8 +356,7 @@ let checkpoint t =
   Wal.close t.wal;
   t.wal <- wal';
   t.gen <- gen';
-  (try Sys.remove (snapshot_file t.t_dir old) with Sys_error _ -> ());
-  (try Sys.remove (wal_file t.t_dir old) with Sys_error _ -> ())
+  remove_generation t.t_dir old
 
 let close t =
   if not t.closed then begin

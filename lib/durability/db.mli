@@ -68,6 +68,11 @@ val spec_components :
     {!Core.Asr.create} (or [Parallel.Snapshot.source]'s spec list)
     wants.  @raise Recovery_error on a malformed path/decomposition. *)
 
+val remove_generation : string -> int -> unit
+(** [remove_generation dir gen] deletes generation [gen]'s snapshot and
+    log, ignoring files already gone — the last step of a rotation, once
+    the manifest names the next generation. *)
+
 val read_manifest : string -> int * spec list
 (** Read [dir]'s manifest: live generation and registered ASR specs.
     @raise Recovery_error on a missing or malformed manifest. *)

@@ -40,11 +40,14 @@ val create :
     publishing the initial snapshot immediately (the one O(n) image;
     every later publication is CoW).  The base must not be mutated
     behind the server's back afterwards — route every write through
-    {!update}.  The spec'd relations are registered with [?maintenance]
+    {!update}.  The spec'd relations are maintained by [?maintenance]
     (the live base's manager — its flush policy then governs them) or
-    with a private immediate-mode manager; either way every pending
-    delta is flushed before a snapshot is published, so published
-    epochs are always delta-free.
+    by a private immediate-mode manager.  A spec equal to a relation
+    the manager already maintains is served by that relation, not a
+    copy (see {!Snapshot.source}): a server over [Db.maintenance db]
+    serves [Db.asrs db].  Either way every pending delta is flushed
+    before a snapshot is published, so published epochs are always
+    delta-free.
 
     [?buffer_pages:n] (default 0 = unbuffered) gives each worker task's
     private environment an [n]-page buffer pool; the merged accountant

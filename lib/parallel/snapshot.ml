@@ -33,12 +33,28 @@ let source ?(sizes = fun _ -> 100) ?maintenance ~specs base =
     | Some m -> m
     | None -> Core.Maintenance.create (Engine.env engine)
   in
+  (* A relation the manager already maintains over this base is served
+     as it is: one copy per relation, maintained once per write. *)
+  let maintained = Core.Maintenance.asrs maintenance in
+  let matches sp a =
+    Core.Asr.store a == base
+    && Option.is_none (Core.Asr.owner a)
+    && Gom.Path.equal (Core.Asr.path a) sp.sp_path
+    && Core.Asr.kind a = sp.sp_kind
+    && Core.Decomposition.equal (Core.Asr.decomposition a) sp.sp_decomposition
+  in
   let indexes =
     List.map
       (fun sp ->
-        let index = Core.Asr.create base sp.sp_path sp.sp_kind sp.sp_decomposition in
+        let index =
+          match List.find_opt (matches sp) maintained with
+          | Some a -> a
+          | None ->
+            let a = Core.Asr.create base sp.sp_path sp.sp_kind sp.sp_decomposition in
+            Core.Maintenance.register maintenance a;
+            a
+        in
         Engine.register engine index;
-        Core.Maintenance.register maintenance index;
         index)
       specs
   in

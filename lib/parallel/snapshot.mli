@@ -30,7 +30,7 @@ type t
 
 type source
 (** The publication side of one live base: the shared engine, the
-    spec-built ASRs (registered for maintenance), the event tap, and the
+    spec'd ASRs (maintained by the manager), the event tap, and the
     previous epoch's frozen image that the next {!advance} extends. *)
 
 val source :
@@ -41,12 +41,16 @@ val source :
   source
 (** Open a snapshot source over the base: lay out a heap ([sizes]
     defaulting to 100 bytes per object, matching {!Engine.create}),
-    materialise every spec'd index once, register it with a fresh shared
-    engine and with the maintenance manager ([?maintenance], or a
-    private [Immediate]-policy one), take the initial O(n) image, and
-    start buffering store events.  All later writes to the base must be
-    serialised against {!advance} by the caller (the server's writer
-    mutex). *)
+    register one relation per spec with a fresh shared engine, take the
+    initial O(n) image, and start buffering store events.  A relation
+    the maintenance manager ([?maintenance], or a private
+    [Immediate]-policy one) already maintains is reused when it is over
+    this base, has no owner predicate, and has an equal path, kind and
+    decomposition; any other spec is materialised once and registered
+    with the manager.  So a source over [Db.maintenance db] serves the
+    Db's own relations and every write maintains each relation once.
+    All later writes to the base must be serialised against {!advance}
+    by the caller (the server's writer mutex). *)
 
 val advance : source -> t
 (** Publish the base as it stands: drain the ASRs' deferred buffers so

@@ -178,12 +178,8 @@ let apply_reset t ~gen ~snapshot ~specs =
   Durability.Db.write_manifest t.r_dir gen specs;
   t.gen <- gen;
   write_marker t;
-  if old_gen > 0 && old_gen <> gen then begin
-    (try Sys.remove (Durability.Db.snapshot_file t.r_dir old_gen)
-     with Sys_error _ -> ());
-    (try Sys.remove (Durability.Db.wal_file t.r_dir old_gen)
-     with Sys_error _ -> ())
-  end;
+  if old_gen > 0 && old_gen <> gen then
+    Durability.Db.remove_generation t.r_dir old_gen;
   t.scanner <- Durability.Wal.Scanner.create ();
   t.wal_bytes <- 0;
   t.applied_off <- 0;

@@ -227,6 +227,33 @@ let test_annihilation_writes_nothing () =
     (Storage.Stats.snapshot stats).Storage.Stats.s_total_writes;
   check "trees never diverged" true (agree a)
 
+(* ---------------- net deltas ---------------- *)
+
+(* One insert under a policy that never fires during the test: tuples
+   the insert does not touch are neither retracted nor re-derived into
+   the buffers, so the buffers hold exactly one delta per changed tuple
+   and partition, and nothing is left to annihilate. *)
+let test_net_delta_buffers_only_the_change () =
+  let b, env, mgr, a =
+    company_setup Core.Extension.Full (M.Every_k_events 1_000_000)
+  in
+  let stats = env.E.stats in
+  let before = Core.Asr.extension_relation a in
+  let buffered0 = counted stats Delta_buffered in
+  let annihilated0 = counted stats Delta_annihilated in
+  Gom.Store.insert_elem b.C.store (sec_parts b) (V.Ref b.C.pepper);
+  let after = Core.Asr.extension_relation a in
+  let only x y = Relation.cardinal (Relation.filter x (fun t -> not (Relation.mem y t))) in
+  let changed = only after before + only before after in
+  check "the insert changes the extension" true (changed > 0);
+  check_int "one buffered delta per changed tuple and partition"
+    (changed * Core.Asr.partition_count a)
+    (counted stats Delta_buffered - buffered0);
+  check_int "no retracted tuple comes back" 0
+    (counted stats Delta_annihilated - annihilated0);
+  ignore (M.flush_all mgr);
+  check "trees caught up" true (agree a)
+
 (* ---------------- suspended set (satellite 1) ---------------- *)
 
 let test_suspend_resume_idempotent_at_scale () =
@@ -657,6 +684,8 @@ let suite =
       test_switch_to_immediate_drains;
     Alcotest.test_case "insert+delete annihilate before any page" `Quick
       test_annihilation_writes_nothing;
+    Alcotest.test_case "net deltas: one delta per changed tuple" `Quick
+      test_net_delta_buffers_only_the_change;
     Alcotest.test_case "suspend/resume idempotent at scale" `Quick
       test_suspend_resume_idempotent_at_scale;
     Alcotest.test_case "freshness watermark: catch-up and degrade" `Quick

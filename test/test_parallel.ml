@@ -506,6 +506,116 @@ let test_stats_sheaves_sum () =
   check_int "fallbacks: parallel merge = sequential sum"
     (Storage.Stats.count seq Fallback) (Storage.Stats.count par Fallback)
 
+(* ---------------- one set of relations per base ---------------- *)
+
+(* A server over a durable base's manager serves the Db's relation for
+   an equal spec instead of building a second copy, and builds (once)
+   only the spec the Db lacks.  The shared relation keeps snapshot
+   isolation: a reader pinned before a write answers as its epoch's
+   scan oracle does, a fresh pin sees the write, and the base recovers
+   verified. *)
+let test_server_shares_db_relations () =
+  Test_durability.with_dir (fun dir ->
+      let store, path =
+        Workload.Generator.build
+          (Workload.Generator.spec ~seed:5 ~counts:[ 6; 8; 10; 12 ] ~defined:[ 5; 6; 8 ]
+             ~fan:[ 2; 2; 2 ] ())
+      in
+      let db = Durability.Db.create ~policy:Durability.Wal.Sync_never ~dir store in
+      let own =
+        Durability.Db.register_asr db ~path:(Gom.Path.to_string path)
+          ~kind:Core.Extension.Full ()
+      in
+      let mgr = Durability.Db.maintenance db in
+      let server =
+        Server.create ~maintenance:mgr
+          ~specs:(specs_for path @ specs_for ~kind:Core.Extension.Canonical path)
+          store
+      in
+      let shutdown = ref false in
+      Fun.protect
+        ~finally:(fun () ->
+          if not !shutdown then Server.shutdown server;
+          Durability.Db.close db)
+        (fun () ->
+          let ids l = List.map Core.Asr.id l in
+          let served = Snapshot.indexes (Server.pin server) in
+          check "the Db's relation is served for the equal spec" true
+            (List.mem (Core.Asr.id own) (ids served));
+          check "served = the Db's relation by id" true
+            (List.hd (ids served) = Core.Asr.id own
+            && ids (Durability.Db.asrs db) = [ Core.Asr.id own ]);
+          let full =
+            List.filter (fun a -> Core.Asr.kind a = Core.Extension.Full) (Core.Maintenance.asrs mgr)
+          in
+          check_int "the manager holds one full relation, not two" 1 (List.length full);
+          let canonical = List.nth served 1 in
+          check "the spec the Db lacks is built" true
+            (Core.Asr.kind canonical = Core.Extension.Canonical);
+          check_int "and registered once" 1
+            (List.length
+               (List.filter (fun a -> a == canonical) (Core.Maintenance.asrs mgr)));
+          check_int "manager holds two relations" 2 (List.length (Core.Maintenance.asrs mgr));
+          let n = Gom.Path.length path in
+          let answers snap =
+            let env = Snapshot.env snap in
+            let view = Snapshot.store snap in
+            let sources = Gom.Store_view.extent ~deep:true view (Gom.Path.type_at path 0) in
+            let targets =
+              Gom.Store_view.extent ~deep:true view (Gom.Path.type_at path n)
+              |> List.map (fun o -> V.Ref o)
+            in
+            let engine = Snapshot.engine snap in
+            let fw =
+              Engine.forward_batch ~env engine path ~i:0 ~j:n sources
+              |> List.map (fun (o, vs) -> (o, vset vs))
+            in
+            let bw =
+              Engine.backward_batch ~env engine path ~i:0 ~j:n ~targets
+              |> List.map (fun (v, os) -> (v, oset os))
+            in
+            let fw_oracle =
+              List.map (fun o -> (o, vset (E.forward_scan env path ~i:0 ~j:n o))) sources
+            in
+            let bw_oracle =
+              List.map
+                (fun v -> (v, oset (E.backward_scan env path ~i:0 ~j:n ~target:v)))
+                targets
+            in
+            check "forward answers = scan oracle at the epoch" true (fw = fw_oracle);
+            check "backward answers = scan oracle at the epoch" true (bw = bw_oracle);
+            fw
+          in
+          let pinned = Server.pin server in
+          let before = answers pinned in
+          let step = Gom.Path.step path 1 in
+          let holder =
+            List.find
+              (fun o -> not (V.is_null (Gom.Store.get_attr store o step.Gom.Path.attr)))
+              (Gom.Store.extent store step.Gom.Path.domain)
+          in
+          let set = V.oid_exn (Gom.Store.get_attr store holder step.Gom.Path.attr) in
+          let fresh =
+            List.find
+              (fun o ->
+                (not (List.exists (V.equal (V.Ref o)) (Gom.Store.elements store set)))
+                && E.forward_scan (env_of store) path ~i:1 ~j:n o <> [])
+              (Gom.Store.extent store step.Gom.Path.range)
+          in
+          Server.update server (fun st -> Gom.Store.insert_elem st set (V.Ref fresh));
+          check "pinned reader keeps its pre-write answers" true (answers pinned = before);
+          check "a fresh pin sees the write" false (answers (Server.pin server) = before);
+          Server.shutdown server;
+          shutdown := true);
+      let db = Durability.Db.open_ ~dir () in
+      Fun.protect
+        ~finally:(fun () -> Durability.Db.close db)
+        (fun () ->
+          check "recovery verified" true
+            (match Durability.Db.last_recovery db with
+            | Some r -> Durability.Db.verified r
+            | None -> false)))
+
 let suite =
   [
     Alcotest.test_case "pool preserves input order" `Quick test_pool_order;
@@ -521,4 +631,6 @@ let suite =
     Alcotest.test_case "plan cache survives 4-domain churn" `Slow test_plan_cache_stress;
     Qc.to_alcotest prop_stats_algebra;
     Alcotest.test_case "parallel sheaves = sequential sum" `Quick test_stats_sheaves_sum;
+    Alcotest.test_case "server shares the Db's relations" `Quick
+      test_server_shares_db_relations;
   ]
