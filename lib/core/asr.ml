@@ -28,6 +28,7 @@ type gate = {
 
 type t = {
   id : int;  (* process-unique identity, usable as a hash key *)
+  seg : Storage.Stats.segment;  (* ["asr<id>"], interned at creation *)
   store : Gom.Store.t;
   path : Gom.Path.t;
   kind : Extension.kind;
@@ -55,7 +56,7 @@ type pool = {
 }
 
 let id t = t.id
-let seg t = "asr" ^ string_of_int t.id
+let seg t = t.seg
 
 (* Tag page traffic from this relation's trees with its segment name so
    the buffer pool can report per-segment hit ratios (planner warmth). *)
@@ -211,6 +212,7 @@ let create ?(config = Storage.Config.default) ?(pager = Storage.Pager.create ())
   incr next_id;
   {
     id;
+    seg = Storage.Stats.segment ("asr" ^ string_of_int id);
     store;
     path;
     kind;
@@ -435,7 +437,7 @@ let find_by_column ?stats t ~col v =
        the read half of the deferred pipeline's page savings. *)
     ignore st
   | Some st ->
-    Storage.Stats.in_segment st (seg t) (fun () ->
+    Storage.Stats.in_segment st t.seg (fun () ->
         let pi = partition_index_of_column t col in
         let p = t.parts.(pi) in
         if col = p.lo then ignore (Storage.Bptree.lookup ~stats:st p.trees.fwd v)

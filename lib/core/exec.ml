@@ -156,57 +156,78 @@ let steps index dir ~i ~j =
   in
   go first start []
 
-let distinct_at rows col =
-  rows
-  |> List.filter_map (fun (row : Relation.Tuple.t) ->
-         let v = row.(col) in
-         if Gom.Value.is_null v then None else Some v)
-  |> sort_values
-
 let is_empty = function [] -> true | _ :: _ -> false
 
-(* The rows a key lookup fetched for [key]: [fetched] holds one
-   (key, rows) pair per distinct key, in key order. *)
-let rows_of fetched key =
-  let rec search lo hi =
-    if lo >= hi then []
-    else
-      let mid = (lo + hi) / 2 in
-      let k, rows = fetched.(mid) in
-      let c = Gom.Value.compare key k in
-      if c = 0 then rows else if c < 0 then search lo mid else search (mid + 1) hi
-  in
-  search 0 (Array.length fetched)
+(* A partition visit's fetched rows, grouped by entry value: one
+   (value, rows) pair per distinct value, in value order.  [find]
+   returns the position of [key], or -1. *)
+let rec search fetched key lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let c = Gom.Value.compare key (fst fetched.(mid)) in
+    if c = 0 then mid
+    else if c < 0 then search fetched key lo mid
+    else search fetched key (mid + 1) hi
+
+let find fetched key = search fetched key 0 (Array.length fetched)
+
+(* An interior entry's semijoin: the scanned rows whose entry column
+   holds a value of the round's frontier (the sorted union of every
+   probe's), grouped like a key lookup's answer.  Each row costs one
+   binary search, however many probes the round carries. *)
+let semijoin rows col frontiers =
+  let keys = sort_values (List.concat (Array.to_list frontiers)) in
+  let fetched = Array.of_list (List.map (fun k -> (k, [])) keys) in
+  List.iter
+    (fun (row : Relation.Tuple.t) ->
+      let k = find fetched row.(col) in
+      if k >= 0 then
+        let key, rows = fetched.(k) in
+        fetched.(k) <- (key, row :: rows))
+    rows;
+  fetched
+
+(* Fold rows straight into the exit-column accumulator, NULLs
+   dropped. *)
+let rec add_exits out acc = function
+  | [] -> acc
+  | (row : Relation.Tuple.t) :: rest ->
+    let v = row.(out) in
+    add_exits out (if Gom.Value.is_null v then acc else v :: acc) rest
+
+let rec frontier_exits fetched out acc = function
+  | [] -> acc
+  | key :: rest ->
+    let k = find fetched key in
+    let acc = if k < 0 then acc else add_exits out acc (snd fetched.(k)) in
+    frontier_exits fetched out acc rest
 
 (* One partition visit for every probe at once: an interior entry scans
-   the partition once and filters it per probe, a clustering-boundary
-   entry is one sorted multi-key lookup whose probes share descents and
-   leaf pages. *)
+   the partition once and semijoins it with the round's frontier, a
+   clustering-boundary entry is one sorted multi-key lookup whose probes
+   share descents and leaf pages.  Either way each probe then gathers
+   its exit values from the grouped rows. *)
 let visit env index dir ~goal frontiers step =
   let stats = env.stats in
   let part, enter =
     match step with Lookup { part; enter } | Scan { part; enter } -> (part, enter)
   in
   let ((lo, _) as bounds) = Asr.partition_bounds index part in
-  let select =
+  let fetched =
     match step with
-    | Scan _ ->
-      let rows = Asr.scan_partition ~stats index part in
-      fun frontier ->
-        List.filter
-          (fun (row : Relation.Tuple.t) ->
-            List.exists (Gom.Value.equal row.(enter - lo)) frontier)
-          rows
+    | Scan _ -> semijoin (Asr.scan_partition ~stats index part) (enter - lo) frontiers
     | Lookup _ ->
       let lookup_many =
         match dir with Fwd -> Asr.lookup_fwd_many | Bwd -> Asr.lookup_bwd_many
       in
       let keys = List.concat (Array.to_list frontiers) in
-      let fetched = Array.of_list (lookup_many ~stats index part keys) in
-      fun frontier -> List.concat_map (rows_of fetched) frontier
+      Array.of_list (lookup_many ~stats index part keys)
   in
   let out = exit_column dir bounds ~goal - lo in
-  Array.map (fun f -> if is_empty f then [] else distinct_at (select f) out) frontiers
+  Array.map
+    (fun f -> if is_empty f then [] else sort_values (frontier_exits fetched out [] f))
+    frontiers
 
 let stitch env index dir ~i ~j steps frontiers =
   let _, goal = columns index dir ~i ~j in

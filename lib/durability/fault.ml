@@ -83,13 +83,26 @@ let overwrite path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let read_all path =
+let read_from path off =
   if not (Sys.file_exists path) then ""
   else
     let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+    match
+      let len = in_channel_length ic in
+      if off >= len then ""
+      else begin
+        seek_in ic off;
+        really_input_string ic (len - off)
+      end
+    with
+    | s ->
+      close_in ic;
+      s
+    | exception e ->
+      close_in_noerr ic;
+      raise e
+
+let read_all path = read_from path 0
 
 let atomic_write path contents =
   let dir = Filename.dirname path in

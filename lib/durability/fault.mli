@@ -158,6 +158,11 @@ val close : file -> unit
 val read_all : string -> string
 (** A whole file's bytes; a missing file reads as [""]. *)
 
+val read_from : string -> int -> string
+(** [read_from path off] is the file's bytes from offset [off] to its
+    end, without reading the prefix; [""] for a missing file or an
+    offset at or past the end. *)
+
 val atomic_write : string -> string -> unit
 (** Replace a small control file atomically: temp file + fsync +
     rename, so a crash leaves either the old or the new contents. *)

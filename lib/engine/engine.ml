@@ -319,14 +319,23 @@ let create ?(sizes = fun _ -> 100) env =
       freshness = Catch_up;
     }
   in
-  let (_ : Gom.Store.subscription) =
-    Gom.Store.subscribe store (fun ev ->
-        with_lock t (fun () ->
-            t.generation <- t.generation + 1;
-            follow_event t store ev;
-            Hashtbl.reset t.assembled;
-            t.counts_epoch <- Gom.Store.epoch store))
-  in
+  (* The listener holds the engine weakly: an engine nobody references
+     is collected (its listener then unsubscribes at the next event)
+     instead of living as long as the store. *)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some t);
+  let sub = ref None in
+  sub :=
+    Some
+      (Gom.Store.subscribe store (fun ev ->
+           match Weak.get self 0 with
+           | Some t ->
+             with_lock t (fun () ->
+                 t.generation <- t.generation + 1;
+                 follow_event t store ev;
+                 Hashtbl.reset t.assembled;
+                 t.counts_epoch <- Gom.Store.epoch store)
+           | None -> Option.iter (Gom.Store.unsubscribe store) !sub));
   t
 
 let register t a =
@@ -594,7 +603,7 @@ let warmth_fingerprint ~env indexes =
   let st = env.Core.Exec.stats in
   if not (Storage.Stats.has_buffer st) then []
   else
-    warmth_bucket (Storage.Stats.segment_hit_ratio st "heap")
+    warmth_bucket (Storage.Stats.segment_hit_ratio st Storage.Heap.segment)
     :: List.map
          (fun a -> warmth_bucket (Storage.Stats.segment_hit_ratio st (Core.Asr.seg a)))
          indexes
@@ -624,7 +633,7 @@ let candidates ?env t path ~i ~j ~dir =
   let seg_ratio seg = Storage.Stats.segment_hit_ratio env.Core.Exec.stats seg in
   let nav =
     { plan = live_plan path ~i ~j dir;
-      est_cost = QC.warmed (QC.qnas prof_q (qkind dir) i j) ~hit_ratio:(seg_ratio "heap") }
+      est_cost = QC.warmed (QC.qnas prof_q (qkind dir) i j) ~hit_ratio:(seg_ratio Storage.Heap.segment) }
   in
   let whole ipath off = off = 0 && Gom.Path.length ipath = Gom.Path.length path in
   let degraded = ref false in

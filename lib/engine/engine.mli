@@ -85,7 +85,9 @@ val create : ?sizes:(Gom.Schema.type_name -> int) -> Core.Exec.env -> t
 (** An engine over the environment's store; [sizes] (default [100]
     bytes per object) feeds measured profiles.  Subscribes to the store:
     every mutation bumps the generation and updates the live profile
-    counts (see {!profile}). *)
+    counts (see {!profile}).  The subscription holds the engine weakly:
+    an engine nobody references is collected, not kept alive by its
+    store. *)
 
 val env : t -> Core.Exec.env
 val indexes : t -> Core.Asr.t list

@@ -18,6 +18,7 @@ type t = {
   mutable read_off : int;
   mutable committed : int;
   mutable data_since_digest : int;
+  mutable log_bytes_read : int;
 }
 
 let create ?(frame_bytes = 4096) ?(digest_every = 8) db =
@@ -36,6 +37,7 @@ let create ?(frame_bytes = 4096) ?(digest_every = 8) db =
     read_off = 0;
     committed = 0;
     data_since_digest = 0;
+    log_bytes_read = 0;
   }
 
 let next_seq t = t.next_seq
@@ -43,9 +45,13 @@ let committed_bytes t = t.committed
 let unacked t = List.length t.sent
 let resending t = Option.is_some t.resend_from
 let lag t = max 0 (t.committed - t.shipped_off)
+let log_bytes_read t = t.log_bytes_read
 
-(* Refresh the committed watermark from our own log file and return the
-   file's full contents (the shipping loop slices frames out of it). *)
+(* Refresh the committed watermark from our own log file.  Returns
+   [(base, text)]: the log's bytes from offset [base] on, where [base]
+   is the lesser of what the scanner has read and what the shipping loop
+   has shipped (from 0 when the generation moved under it) — so a ship
+   reads only the suffix it needs, never the history again. *)
 let refresh t =
   let gen = Durability.Db.generation t.db in
   if gen <> t.scan_gen then begin
@@ -53,22 +59,26 @@ let refresh t =
     t.scan_gen <- gen;
     t.read_off <- 0
   end;
+  let ship_from = if gen = t.shipped_gen then t.shipped_off else 0 in
+  let base = min ship_from t.read_off in
   let text =
-    Durability.Fault.read_all
+    Durability.Fault.read_from
       (Durability.Db.wal_file (Durability.Db.dir t.db) gen)
+      base
   in
-  let len = String.length text in
+  t.log_bytes_read <- t.log_bytes_read + String.length text;
+  let len = base + String.length text in
   if len > t.read_off then begin
     (try
        Durability.Wal.Scanner.feed t.scanner
-         (String.sub text t.read_off (len - t.read_off))
+         (String.sub text (t.read_off - base) (len - t.read_off))
      with Durability.Wal.Scanner.Bad_record { recno; off } ->
        error "primary log %d corrupt at record %d (byte %d)" gen recno off);
     ignore (Durability.Wal.Scanner.take_groups t.scanner);
     t.read_off <- len
   end;
   t.committed <- Durability.Wal.Scanner.committed_bytes t.scanner;
-  text
+  (base, text)
 
 (* Assign a sequence number, remember the frame for rewind, ship it.
    If the channel refuses (partition), the frame is already buffered:
@@ -133,7 +143,7 @@ let ship t ch =
   let n = ref 0 in
   n := resend t ch;
   let gen = Durability.Db.generation t.db in
-  let text = refresh t in
+  let base, text = refresh t in
   if gen <> t.shipped_gen then begin
     (* Generation rotated under the replica (or nothing shipped yet):
        re-seed it with the checkpoint image; the log restarts at 0. *)
@@ -156,7 +166,7 @@ let ship t ch =
       t.committed;
   while t.shipped_off < t.committed do
     let len = min t.frame_bytes (t.committed - t.shipped_off) in
-    let bytes = String.sub text t.shipped_off len in
+    let bytes = String.sub text (t.shipped_off - base) len in
     let off = t.shipped_off in
     (* Advance first: the frame owns these bytes now — if the send is
        refused, the armed resend pointer retries the buffered frame. *)

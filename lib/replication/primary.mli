@@ -61,6 +61,10 @@ val committed_bytes : t -> int
 val lag : t -> int
 (** Committed bytes not yet shipped (0 when in sync). *)
 
+val log_bytes_read : t -> int
+(** Bytes of our own log read so far.  Each {!ship} reads only the
+    suffix past the lesser of the scanned and the shipped offsets. *)
+
 val unacked : t -> int
 (** Frames shipped but not yet acknowledged. *)
 

@@ -73,6 +73,13 @@ let cardinal t = t.cardinal
 let read stats page = match stats with Some s -> Stats.read s page | None -> ()
 let write stats page = match stats with Some s -> Stats.write s page | None -> ()
 
+(* How a leaf's last (greatest) entry key compares with [key], without
+   allocating; an empty leaf counts as ending before it. *)
+let rec last_vs t key = function
+  | [] -> -1
+  | [ last ] -> Gom.Value.compare (t.key_of last.tup) key
+  | _ :: rest -> last_vs t key rest
+
 (* Range and extent scans ride the leaf chain left-to-right, so the
    upcoming leaves are known: stage the next few so a buffer pool pays
    their physical I/O here, ahead of the demand reads.  The current
@@ -80,41 +87,40 @@ let write stats page = match stats with Some s -> Stats.write s page | None -> (
    the very page the scan is standing on. *)
 let prefetch_depth = 4
 
-let prefetch_chain ?(will_follow = fun _ -> true) stats node =
+(* The pages of up to [n] non-empty leaves after [node] that the walk
+   provably reads: staging a leaf the walk then abandons is physical
+   I/O paid for nothing, and would break the buffered <= unbuffered
+   physical-read bound the oracle suite checks.  Full scans ([all])
+   follow every link; a keyed run follows a link only while the leaf
+   holds no entry beyond [key]. *)
+let rec ahead t ~all key n node =
+  if n = 0 then []
+  else
+    match node.body with
+    | Inner _ -> []
+    | Leaf l -> (
+      match l.next with
+      | Some nx when all || last_vs t key l.entries <= 0 -> (
+        (* Keep walking the chain but never stage an empty leaf: [iter]
+           skips them without a read. *)
+        match nx.body with
+        | Leaf { entries = []; _ } -> ahead t ~all key (n - 1) nx
+        | Leaf _ | Inner _ -> nx.page :: ahead t ~all key (n - 1) nx)
+      | Some _ | None -> [])
+
+let prefetch_chain t stats ~all key node =
   match stats with
-  | None -> ()
-  | Some s ->
-    (* [will_follow n] says whether the caller's walk provably reads
-       [n]'s successor: staging a leaf the walk then abandons is
-       physical I/O paid for nothing, and would break the buffered <=
-       unbuffered physical-read bound the oracle suite checks.  Full
-       scans follow every link (the default); keyed runs stop where the
-       run does. *)
-    let rec ahead n node acc =
-      if n = 0 then List.rev acc
-      else
-        match node.body with
-        | Inner _ -> List.rev acc
-        | Leaf l -> (
-          match l.next with
-          | Some nx when will_follow node ->
-            (* Keep walking the chain but never stage an empty leaf:
-               [iter] skips them without a read. *)
-            let acc =
-              match nx.body with
-              | Leaf { entries = []; _ } -> acc
-              | Leaf _ | Inner _ -> nx.page :: acc
-            in
-            ahead (n - 1) nx acc
-          | Some _ | None -> List.rev acc)
-    in
-    let upcoming = ahead prefetch_depth node [] in
-    if upcoming <> [] then begin
+  | Some s when Stats.has_buffer s -> (
+    match ahead t ~all key prefetch_depth node with
+    | [] -> ()
+    | upcoming -> (
       Stats.pin_page s node.page;
-      Fun.protect
-        ~finally:(fun () -> Stats.unpin_page s node.page)
-        (fun () -> Stats.prefetch s upcoming)
-    end
+      match Stats.prefetch s upcoming with
+      | () -> Stats.unpin_page s node.page
+      | exception e ->
+        Stats.unpin_page s node.page;
+        raise e))
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading                                                        *)
@@ -368,22 +374,48 @@ let remove ?stats t tup =
 (* Lookup / scans                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The last child whose separator's key is strictly below [key]: where
+   [key]'s run starts.  [acc] is the first child by default. *)
+let rec child_for_key t key acc = function
+  | [] -> acc
+  | (sep, child) :: rest ->
+    child_for_key t key (if Gom.Value.compare (t.key_of sep) key < 0 then child else acc) rest
+
 let rec descend_for_key ?stats t key node =
   read stats node.page;
   match node.body with
   | Leaf _ -> node
-  | Inner i ->
-    let child =
-      route ~before:(fun sep -> Gom.Value.compare (t.key_of sep) key < 0) i.children
-    in
-    descend_for_key ?stats t key child
+  | Inner { children = (_, first) :: rest } ->
+    descend_for_key ?stats t key (child_for_key t key first rest)
+  | Inner { children = [] } -> invalid_arg "Bptree.route: inner node without children"
 
-(* How a leaf's last (greatest) entry key compares with [key], without
-   allocating; an empty leaf counts as ending before it. *)
-let rec last_vs t key = function
-  | [] -> -1
-  | [ last ] -> Gom.Value.compare (t.key_of last.tup) key
-  | _ :: rest -> last_vs t key rest
+(* Where a batch of point lookups stands: the leaf the previous key's
+   run ended on.  One per [lookup_many] call. *)
+type cursor = { mutable at : node }
+
+let no_leaf = { page = -1; body = Inner { children = [] } }
+
+(* [key]'s run from leaf [node] on, in tuple order: read the leaf,
+   stage its successors, then collect its entries on [key].  The run
+   continues into the next leaf as long as this leaf holds no entry
+   beyond the key (duplicate runs can start exactly at a leaf boundary,
+   so an empty prefix is not a stop). *)
+let rec run_from t stats cur key node =
+  match node.body with
+  | Inner _ -> []
+  | Leaf l ->
+    read stats node.page;
+    prefetch_chain t stats ~all:false key node;
+    cur.at <- node;
+    run_in t stats cur key l l.entries
+
+and run_in t stats cur key l = function
+  | e :: rest ->
+    let c = Gom.Value.compare (t.key_of e.tup) key in
+    if c < 0 then run_in t stats cur key l rest
+    else if c = 0 then e.tup :: run_in t stats cur key l rest
+    else []
+  | [] -> ( match l.next with Some nx -> run_from t stats cur key nx | None -> [])
 
 (* Serve many point lookups at once, in ascending key order, sharing
    tree descents between adjacent keys: when the next key falls strictly
@@ -394,45 +426,18 @@ let rec last_vs t key = function
    charge those leaves once. *)
 let lookup_many ?stats t keys =
   let keys = List.sort_uniq Gom.Value.compare keys in
-  let cursor = ref None in
+  let cur = { at = no_leaf } in
   List.map
     (fun key ->
-      let resume =
-        match !cursor with
-        | Some ({ body = Leaf { entries = first :: _ as es; _ }; _ } as node)
+      let leaf =
+        match cur.at with
+        | { body = Leaf { entries = first :: _ as es; _ }; _ } as node
           when Gom.Value.compare (t.key_of first.tup) key < 0 && last_vs t key es >= 0 ->
           (* The run for [key], if any, starts in this leaf. *)
-          Some node
-        | Some _ | None -> None
+          node
+        | _ -> descend_for_key ?stats t key t.root
       in
-      let leaf =
-        match resume with
-        | Some node -> node
-        | None -> descend_for_key ?stats t key t.root
-      in
-      let acc = ref [] in
-      (* The run may extend into the next leaf as long as this leaf
-         holds no entry beyond the key (duplicate runs can start exactly
-         at a leaf boundary, so an empty prefix is not a stop). *)
-      let continues_right n =
-        match n.body with Inner _ -> false | Leaf l -> last_vs t key l.entries <= 0
-      in
-      let rec walk node =
-        match node.body with
-        | Inner _ -> ()
-        | Leaf l ->
-          read stats node.page;
-          prefetch_chain stats node ~will_follow:continues_right;
-          cursor := Some node;
-          List.iter
-            (fun e ->
-              if Gom.Value.compare (t.key_of e.tup) key = 0 then acc := e.tup :: !acc)
-            l.entries;
-          if continues_right node then
-            match l.next with Some nx -> walk nx | None -> ()
-      in
-      walk leaf;
-      (key, List.rev !acc))
+      (key, run_from t stats cur key leaf))
     keys
 
 let lookup ?stats t key =
@@ -466,7 +471,7 @@ let iter ?stats t f =
     | Leaf l ->
       if l.entries <> [] then begin
         read stats node.page;
-        prefetch_chain stats node;
+        prefetch_chain t stats ~all:true Gom.Value.Null node;
         List.iter (fun e -> f e.tup) l.entries
       end;
       ( match l.next with Some nx -> walk nx | None -> ())

@@ -8,22 +8,35 @@
     frame is pure bookkeeping — identity, recency and pin state are all
     the cost model needs.
 
-    Frames are keyed by [(segment, page)] pairs: heap pages and each
-    access support relation's tree pages come from {e independent}
-    pagers whose identifiers collide, so the owning segment (see
-    {!Stats.in_segment}) namespaces them and a hot heap page can never
-    masquerade as a hot tree page.
+    Frames are keyed by one [int] packing a segment with a page (see
+    {!key}): heap pages and each access support relation's tree pages
+    come from {e independent} pagers whose identifiers collide, so the
+    owning segment (see {!Stats.in_segment}) namespaces them and a hot
+    heap page can never masquerade as a hot tree page.
+
+    Frames live in slot arrays preallocated at {!create}; an index maps
+    keys to slots by open addressing and an intrusive doubly linked
+    list keeps recency (LRU) or the clock ring.  A hit allocates
+    nothing, and so does a miss unless every frame is pinned and the
+    arrays must grow.
 
     The pool is a mechanism only — it keeps no hit/miss counters.
     {!Stats} owns the accounting and interprets the outcomes. *)
 
 type policy = Lru | Clock
-(** Eviction policy: exact least-recently-used (scan for the minimum
-    stamp; capacities are small) or the classic clock / second-chance
+(** Eviction policy: exact least-recently-used (the victim is the
+    least recently referenced unpinned frame, found by walking back
+    from the tail of the recency list past pinned frames — O(1) unless
+    pinned frames sit at the tail) or the classic clock / second-chance
     approximation. *)
 
-type key = string * int
-(** [(segment, page)]. *)
+type key = int
+(** A segment and a page packed into one integer by {!key}. *)
+
+val key : segment:int -> int -> key
+(** [key ~segment page] packs [segment] above the page's 32 bits.
+    @raise Invalid_argument unless [0 <= page < 2^32] and
+    [0 <= segment < 2^30]. *)
 
 type t
 

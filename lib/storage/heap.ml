@@ -133,23 +133,19 @@ let config t = t.config
 let set_tracer t tr = t.tracer <- tr
 let tracer t = t.tracer
 
-let placement t oid =
-  match Omap.find_opt oid t.placements with
-  | Some p -> p
-  | None -> raise Not_found
+let placement t oid = Omap.find oid t.placements
 
 let page_of t oid = (placement t oid).first
 let span_of t oid = (placement t oid).span
 
-let seg = "heap"
+let segment = Stats.segment "heap"
 
 let read_object t stats oid =
   (match t.tracer with Some tr -> Affinity.touch tr oid | None -> ());
   let p = placement t oid in
-  Stats.in_segment stats seg (fun () ->
-      for i = 0 to p.span - 1 do
-        Stats.read stats (p.first + i)
-      done)
+  for i = 0 to p.span - 1 do
+    Stats.read_in stats segment (p.first + i)
+  done
 
 let extent_pages ?(deep = false) t ty =
   let tys = if deep then Gom.Schema.subtypes_closure t.schema ty else [ ty ] in
@@ -164,7 +160,7 @@ let pages_of_type ?deep t ty = max 1 (List.length (extent_pages ?deep t ty))
 
 let scan_extent ?deep t stats ty =
   let pages = extent_pages ?deep t ty in
-  Stats.in_segment stats seg (fun () ->
+  Stats.in_segment stats segment (fun () ->
       (* Sequential extent pass: stage the whole extent, then read it —
          with a pool attached the pages are fetched once here and left
          resident for whoever traverses them next. *)

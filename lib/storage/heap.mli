@@ -59,9 +59,13 @@ val span_of : t -> Gom.Oid.t -> int
 (** Consecutive pages the object occupies (1 unless larger than a
     page).  @raise Not_found for unknown objects. *)
 
+val segment : Stats.segment
+(** The segment every heap page access is tagged with (["heap"]). *)
+
 val read_object : t -> Stats.t -> Gom.Oid.t -> unit
 (** Charge the page reads needed to fetch the object (all [span] pages),
-    tagged to the ["heap"] segment, and inform the tracer if any. *)
+    tagged to {!segment}, and inform the tracer if any.  Allocates
+    nothing itself. *)
 
 val pages_of_type : ?deep:bool -> t -> Gom.Schema.type_name -> int
 (** Number of distinct pages the extent occupies (the paper's [op_i]).

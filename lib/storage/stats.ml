@@ -11,13 +11,87 @@
      secondary storage.  Without a pool, physical = logical (the paper's
      cold model).
 
-   Frames are keyed by (segment, page): heap pages and every ASR's tree
-   pages come from independent pagers whose identifiers collide, so the
-   active segment (dynamically scoped via [in_segment]) namespaces the
-   pool and carries per-segment hit/miss tallies for buffer-aware plan
-   pricing. *)
+   Frames are keyed by (segment, page) packed into one int: heap pages
+   and every ASR's tree pages come from independent pagers whose
+   identifiers collide, so the active segment (dynamically scoped via
+   [in_segment]) namespaces the pool and carries per-segment hit/miss
+   tallies for buffer-aware plan pricing.  Segment names are interned
+   once, process-wide; each accountant caches the active segment's
+   tally, so a read does no table lookup. *)
 
-type seg_counts = { mutable sh : int; mutable sm : int }
+type segment = int
+
+let interned : (string, segment) Hashtbl.t = Hashtbl.create 64
+let intern_lock = Mutex.create ()
+
+let segment name =
+  Mutex.protect intern_lock (fun () ->
+      match Hashtbl.find_opt interned name with
+      | Some s -> s
+      | None ->
+        let s = Hashtbl.length interned in
+        Hashtbl.add interned name s;
+        s)
+
+let no_segment = segment ""
+
+type tally = { sid : segment; mutable sh : int; mutable sm : int }
+
+module Tallies = Hashtbl.Make (struct
+  type t = segment
+
+  let equal = Int.equal
+  let hash s = s
+end)
+
+(* A per-operation distinct-page set: open addressing over page ids,
+   cleared in O(1) by bumping an epoch — a cell is occupied iff its mark
+   equals the current epoch.  Insert-only between clears, so no
+   deletion is needed, and nothing allocates until the table doubles. *)
+module Touched = struct
+  type t = {
+    mutable keys : int array;
+    mutable marks : int array;
+    mutable bits : int;
+    mutable epoch : int;
+    mutable size : int;
+  }
+
+  let create bits =
+    { keys = Array.make (1 lsl bits) 0; marks = Array.make (1 lsl bits) 0; bits; epoch = 1; size = 0 }
+
+  let clear s =
+    s.epoch <- s.epoch + 1;
+    s.size <- 0
+
+  let home s k = (k * 0x9E3779B97F4A7C1) lsr (63 - s.bits)
+  let next_cell s i = (i + 1) land (Array.length s.keys - 1)
+
+  (* Top-level probes, not local closures: a lookup allocates nothing. *)
+  let rec probe_mem s k i = s.marks.(i) = s.epoch && (s.keys.(i) = k || probe_mem s k (next_cell s i))
+  let mem s k = probe_mem s k (home s k)
+
+  (* [true] when [k] was absent (and is now present). *)
+  let rec probe_add s k i =
+    if s.marks.(i) <> s.epoch then begin
+      s.keys.(i) <- k;
+      s.marks.(i) <- s.epoch;
+      s.size <- s.size + 1;
+      if 2 * s.size > Array.length s.keys then grow s;
+      true
+    end
+    else s.keys.(i) <> k && probe_add s k (next_cell s i)
+
+  and add s k = probe_add s k (home s k)
+
+  and grow s =
+    let keys = s.keys and marks = s.marks in
+    s.bits <- s.bits + 1;
+    s.keys <- Array.make (1 lsl s.bits) 0;
+    s.marks <- Array.make (1 lsl s.bits) 0;
+    s.size <- 0;
+    Array.iteri (fun i k -> if marks.(i) = s.epoch then ignore (add s k : bool)) keys
+end
 
 type counter =
   | Scrub
@@ -85,14 +159,17 @@ type t = {
   mutable prefetched : int;
   mutable prefetch_hits : int;
   counts : counts;
-  touched_r : (int, unit) Hashtbl.t;
-  touched_w : (int, unit) Hashtbl.t;
+  touched_r : Touched.t;
+  touched_w : Touched.t;
   pool : Buffer.t option;
-  mutable seg : string;  (* active segment; "" outside any [in_segment] *)
-  segs : (string, seg_counts) Hashtbl.t;
+  mutable cur : tally;  (* the active segment's; [no_segment] outside any *)
+  tallies : tally Tallies.t;
 }
 
 let create ?(buffer_capacity = 0) ?buffer_policy () =
+  let none = { sid = no_segment; sh = 0; sm = 0 } in
+  let tallies = Tallies.create 8 in
+  Tallies.add tallies no_segment none;
   {
     op_reads = 0;
     op_writes = 0;
@@ -107,39 +184,47 @@ let create ?(buffer_capacity = 0) ?buffer_policy () =
     prefetched = 0;
     prefetch_hits = 0;
     counts = Array.make (Array.length table) 0;
-    touched_r = Hashtbl.create 256;
-    touched_w = Hashtbl.create 64;
+    touched_r = Touched.create 9;
+    touched_w = Touched.create 7;
     pool =
       (if buffer_capacity > 0 then
          Some (Buffer.create ?policy:buffer_policy ~capacity:buffer_capacity ())
        else None);
-    seg = "";
-    segs = Hashtbl.create 8;
+    cur = none;
+    tallies;
   }
 
 let begin_op t =
   t.op_reads <- 0;
   t.op_writes <- 0;
   t.op_logical_reads <- 0;
-  Hashtbl.reset t.touched_r;
-  Hashtbl.reset t.touched_w
+  Touched.clear t.touched_r;
+  Touched.clear t.touched_w
 
-let in_segment t seg f =
-  let prev = t.seg in
-  t.seg <- seg;
-  Fun.protect ~finally:(fun () -> t.seg <- prev) f
-
-let seg_counts t seg =
-  match Hashtbl.find_opt t.segs seg with
-  | Some c -> c
-  | None ->
-    let c = { sh = 0; sm = 0 } in
-    Hashtbl.add t.segs seg c;
+let tally t seg =
+  match Tallies.find t.tallies seg with
+  | c -> c
+  | exception Not_found ->
+    let c = { sid = seg; sh = 0; sm = 0 } in
+    Tallies.add t.tallies seg c;
     c
 
+let in_segment t seg f =
+  let prev = t.cur in
+  t.cur <- tally t seg;
+  match f () with
+  | v ->
+    t.cur <- prev;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.cur <- prev;
+    Printexc.raise_with_backtrace e bt
+
+let frame t page = Buffer.key ~segment:t.cur.sid page
+
 let read t page =
-  if not (Hashtbl.mem t.touched_r page) then begin
-    Hashtbl.add t.touched_r page ();
+  if Touched.add t.touched_r page then begin
     t.op_logical_reads <- t.op_logical_reads + 1;
     t.logical_reads <- t.logical_reads + 1;
     match t.pool with
@@ -147,8 +232,8 @@ let read t page =
       t.op_reads <- t.op_reads + 1;
       t.total_reads <- t.total_reads + 1
     | Some b -> (
-      let c = seg_counts t t.seg in
-      match Buffer.reference b (t.seg, page) with
+      let c = t.cur in
+      match Buffer.reference b (frame t page) with
       | Buffer.Hit ->
         t.hits <- t.hits + 1;
         c.sh <- c.sh + 1
@@ -165,9 +250,14 @@ let read t page =
         c.sm <- c.sm + 1)
   end
 
+let read_in t seg page =
+  let prev = t.cur in
+  t.cur <- tally t seg;
+  read t page;
+  t.cur <- prev
+
 let write t page =
-  if not (Hashtbl.mem t.touched_w page) then begin
-    Hashtbl.add t.touched_w page ();
+  if Touched.add t.touched_w page then begin
     t.logical_writes <- t.logical_writes + 1;
     (* Write-through: every distinct write reaches storage, pool or not;
        the written page enters the pool so later reads of it hit. *)
@@ -176,10 +266,28 @@ let write t page =
     match t.pool with
     | None -> ()
     | Some b -> (
-      match Buffer.reference b (t.seg, page) with
+      match Buffer.reference b (frame t page) with
       | Buffer.Miss { evicted = true } -> t.evictions <- t.evictions + 1
       | Buffer.Miss { evicted = false } | Buffer.Hit | Buffer.Prefetch_hit -> ())
   end
+
+(* Stage [pages] not yet touched by this operation, at most [budget]
+   of them. *)
+let rec stage t b budget = function
+  | [] -> ()
+  | _ when budget = 0 -> ()
+  | page :: rest when Touched.mem t.touched_r page -> stage t b budget rest
+  | page :: rest ->
+    (match Buffer.prefetch b (frame t page) with
+    | `Resident -> ()
+    | `Admitted evicted ->
+      (* Speculative fetch: physical I/O paid now, charged to the
+         operation that issued the prefetch. *)
+      t.prefetched <- t.prefetched + 1;
+      t.op_reads <- t.op_reads + 1;
+      t.total_reads <- t.total_reads + 1;
+      if evicted then t.evictions <- t.evictions + 1);
+    stage t b (budget - 1) rest
 
 let prefetch t pages =
   match t.pool with
@@ -195,30 +303,13 @@ let prefetch t pages =
        - bound the staging by the pool size: more pages than frames
          exist would evict prefetched-but-unread frames (a 1-frame pool
          would thrash). *)
-    let pages = List.filter (fun p -> not (Hashtbl.mem t.touched_r p)) pages in
-    let rec take n = function
-      | p :: tl when n > 0 -> p :: take (n - 1) tl
-      | _ -> []
-    in
-    let pages = take (Buffer.capacity b) pages in
-    List.iter
-      (fun page ->
-        match Buffer.prefetch b (t.seg, page) with
-        | `Resident -> ()
-        | `Admitted evicted ->
-          (* Speculative fetch: physical I/O paid now, charged to the
-             operation that issued the prefetch. *)
-          t.prefetched <- t.prefetched + 1;
-          t.op_reads <- t.op_reads + 1;
-          t.total_reads <- t.total_reads + 1;
-          if evicted then t.evictions <- t.evictions + 1)
-      pages
+    stage t b (Buffer.capacity b) pages
 
 let pin_page t page =
-  match t.pool with Some b -> Buffer.pin b (t.seg, page) | None -> ()
+  match t.pool with Some b -> Buffer.pin b (frame t page) | None -> ()
 
 let unpin_page t page =
-  match t.pool with Some b -> Buffer.unpin b (t.seg, page) | None -> ()
+  match t.pool with Some b -> Buffer.unpin b (frame t page) | None -> ()
 
 let op_reads t = t.op_reads
 let op_writes t = t.op_writes
@@ -243,7 +334,7 @@ let hit_ratio t =
 let segment_hit_ratio t seg =
   if t.pool = None then None
   else
-    match Hashtbl.find_opt t.segs seg with
+    match Tallies.find_opt t.tallies seg with
     | Some c when c.sh + c.sm > 0 ->
       Some (float_of_int c.sh /. float_of_int (c.sh + c.sm))
     | Some _ | None -> None
@@ -381,5 +472,10 @@ let reset t =
   t.prefetched <- 0;
   t.prefetch_hits <- 0;
   Array.fill t.counts 0 (Array.length t.counts) 0;
-  Hashtbl.reset t.segs;
+  (* Zero the tallies in place: the active segment's stays cached. *)
+  Tallies.iter
+    (fun _ c ->
+      c.sh <- 0;
+      c.sm <- 0)
+    t.tallies;
   match t.pool with Some b -> Buffer.reset b | None -> ()

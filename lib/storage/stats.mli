@@ -71,14 +71,31 @@ val pin_page : t -> int -> unit
 
 val unpin_page : t -> int -> unit
 
-val in_segment : t -> string -> (unit -> 'a) -> 'a
+type segment
+(** An interned segment name. *)
+
+val segment : string -> segment
+(** [segment name] interns [name] (process-wide, domain-safe): equal
+    names give the same segment.  Names stay interned for the life of
+    the process, so intern once per long-lived owner (the heap, a
+    relation at its creation), not per access. *)
+
+val in_segment : t -> segment -> (unit -> 'a) -> 'a
 (** [in_segment t seg f] runs [f] with [seg] as the active segment
-    (dynamically scoped, nestable, exception-safe).  The segment
-    namespaces pool frames — heap pages and each ASR's tree pages come
-    from independent pagers whose identifiers collide — and accumulates
-    the per-segment hit/miss tallies behind {!segment_hit_ratio}.
-    {!Heap} tags its accesses ["heap"]; {!Core.Asr} tags each
-    relation's tree traffic with {!Core.Asr.seg}. *)
+    (dynamically scoped and nestable; the previous segment is restored
+    when [f] returns or raises, and the exception re-raised with its
+    backtrace).  The segment namespaces pool frames — heap pages and
+    each ASR's tree pages come from independent pagers whose
+    identifiers collide — and accumulates the per-segment hit/miss
+    tallies behind {!segment_hit_ratio}.  Entering a segment finds its
+    tally once; the reads inside use the cached tally.  {!Heap} tags
+    its accesses {!Heap.segment}; {!Core.Asr} tags each relation's tree
+    traffic with {!Core.Asr.seg}. *)
+
+val read_in : t -> segment -> int -> unit
+(** [read_in t seg page] is {!read} of [page] with [seg] active, the
+    previous segment restored afterwards: a single-read
+    {!in_segment} that allocates no closure. *)
 
 val op_reads : t -> int
 (** Distinct pages {e physically} read from storage since the last
@@ -120,7 +137,7 @@ val hit_ratio : t -> float option
 (** Overall [hits / (hits + misses + prefetch_hits)]; [None] without a
     pool or before any buffered access. *)
 
-val segment_hit_ratio : t -> string -> float option
+val segment_hit_ratio : t -> segment -> float option
 (** Measured hit ratio of one segment's traffic ([None] without a pool
     or when the segment has no accesses yet).  This is the signal the
     planner's buffer-aware pricing scales page costs by. *)
@@ -187,7 +204,8 @@ val note : ?n:int -> t -> counter -> unit
 
 val reset : t -> unit
 (** Clears everything, including totals, segment tallies and the buffer
-    pool. *)
+    pool.  The active segment stays active, and its tally counts from
+    zero. *)
 
 type counts
 (** Immutable event counts of a {!summary}. *)

@@ -238,6 +238,118 @@ let test_batch_saves_pages () =
   let batched = Storage.Stats.op_accesses stats in
   check "batched reads fewer pages" true (batched < per_probe)
 
+(* ---------------- interior-entry semijoin ---------------- *)
+
+(* The stitch as it ran before the semijoin: an interior entry filters
+   every scanned row against every probe's frontier (O(rows·probes)),
+   a boundary entry is one multi-key lookup.  Same storage calls in the
+   same order, so the same pages. *)
+let filter_stitch env a dir ~i ~j probes =
+  let stats = env.E.stats in
+  let col p = Gom.Path.column_of_object_position (Core.Asr.path a) p in
+  let goal = match dir with E.Fwd -> col j | E.Bwd -> col i in
+  let visit frontiers step =
+    let part, enter =
+      match step with E.Lookup { part; enter } | E.Scan { part; enter } -> (part, enter)
+    in
+    let lo, hi = Core.Asr.partition_bounds a part in
+    let out = (match dir with E.Fwd -> min hi goal | E.Bwd -> max lo goal) - lo in
+    let select =
+      match step with
+      | E.Scan _ ->
+        let rows = Core.Asr.scan_partition ~stats a part in
+        fun f ->
+          List.filter
+            (fun (row : Relation.Tuple.t) -> List.exists (V.equal row.(enter - lo)) f)
+            rows
+      | E.Lookup _ ->
+        let many =
+          match dir with E.Fwd -> Core.Asr.lookup_fwd_many | E.Bwd -> Core.Asr.lookup_bwd_many
+        in
+        let fetched = many ~stats a part (List.concat (Array.to_list frontiers)) in
+        fun f ->
+          List.concat_map
+            (fun v ->
+              match List.find_opt (fun (k, _) -> V.equal k v) fetched with
+              | Some (_, rows) -> rows
+              | None -> [])
+            f
+    in
+    Array.map
+      (fun f ->
+        if f = [] then []
+        else
+          vset
+            (List.filter_map
+               (fun (row : Relation.Tuple.t) ->
+                 if V.is_null row.(out) then None else Some row.(out))
+               (select f)))
+      frontiers
+  in
+  List.fold_left
+    (fun frontiers step ->
+      if Array.for_all (fun f -> f = []) frontiers then frontiers else visit frontiers step)
+    (Array.map (fun p -> [ p ]) probes)
+    (E.steps a dir ~i ~j)
+
+let test_interior_semijoin_batch () =
+  let store, path, env = gen_base () in
+  let m = Gom.Path.arity path - 1 in
+  let c1 = Gom.Path.column_of_object_position path 1 in
+  check "position 1 is an interior column" true (c1 > 0 && c1 + 1 < m);
+  (* Non-binary: position 1's column sits strictly inside (0, c1+1). *)
+  let a = Core.Asr.create store path Core.Extension.Full (D.make ~m [ 0; c1 + 1; m ]) in
+  let n = Gom.Path.length path in
+  let stats = env.E.stats in
+  let run dir ~i ~j probes per_probe oracle =
+    let steps = E.steps a dir ~i ~j in
+    check "the walk enters the index at an interior column" true
+      (match steps with E.Scan _ :: _ -> true | _ -> false);
+    Storage.Stats.begin_op stats;
+    let batched = E.stitch env a dir ~i ~j steps (Array.map (fun p -> [ p ]) probes) in
+    let pages = Storage.Stats.op_accesses stats in
+    Storage.Stats.begin_op stats;
+    let reference = filter_stitch env a dir ~i ~j probes in
+    check_int "same pages as the row-by-probe filter" (Storage.Stats.op_accesses stats) pages;
+    check "same answers as the row-by-probe filter" true (batched = reference);
+    Array.iteri
+      (fun k p ->
+        check "batch = per-probe" true (vset batched.(k) = vset (per_probe p));
+        check "batch = scan oracle" true (vset batched.(k) = vset (oracle p)))
+      probes
+  in
+  let sources = Array.of_list (Gom.Store.extent ~deep:true store (Gom.Path.type_at path 1)) in
+  check "a batch of at least 512 probes" true (Array.length sources >= 512);
+  run E.Fwd ~i:1 ~j:n
+    (Array.map (fun o -> V.Ref o) sources)
+    (fun p -> E.forward_supported env a ~i:1 ~j:n (V.oid_exn p))
+    (fun p -> E.forward_scan env path ~i:1 ~j:n (V.oid_exn p));
+  let refs os = List.map (fun o -> V.Ref o) os in
+  run E.Bwd ~i:0 ~j:1
+    (Array.map (fun o -> V.Ref o) sources)
+    (fun target -> refs (E.backward_supported env a ~i:0 ~j:1 ~target))
+    (fun target -> refs (E.backward_scan env path ~i:0 ~j:1 ~target))
+
+(* ---------------- engine lifetime ---------------- *)
+
+(* The store's listener holds an engine weakly, so an engine nobody
+   references is collected rather than living as long as the store; its
+   listener unsubscribes at the next event. *)
+let test_unreferenced_engine_collected () =
+  let store, path, env = gen_base () in
+  let w = Weak.create 1 in
+  let make () = Weak.set w 0 (Some (Engine.create env)) in
+  make ();
+  Gc.full_major ();
+  check "unreferenced engine collected" true (Option.is_none (Weak.get w 0));
+  (* A live engine still follows events after the dead one's listener
+     has gone. *)
+  let engine = Engine.create env in
+  let g0 = Engine.generation engine in
+  ignore (Gom.Store.new_object store (Gom.Path.type_at path 0));
+  ignore (Gom.Store.new_object store (Gom.Path.type_at path 0));
+  check_int "live engine saw both events" (g0 + 2) (Engine.generation engine)
+
 (* ---------------- explain ---------------- *)
 
 let test_explain () =
@@ -281,5 +393,9 @@ let suite =
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidation;
     Alcotest.test_case "foreign index rejected" `Quick test_register_other_store_rejected;
     Alcotest.test_case "batched probes save pages" `Quick test_batch_saves_pages;
+    Alcotest.test_case "interior-entry semijoin, 512+ probes" `Quick
+      test_interior_semijoin_batch;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "unreferenced engine is collected" `Quick
+      test_unreferenced_engine_collected;
   ]

@@ -209,6 +209,31 @@ let test_catch_up () =
       assert_equivalent "incremental" rig.g_db rig.g_replica;
       close_rig rig)
 
+(* A ship reads the log only past what it has already scanned and
+   shipped: after a long prefix is out, one more round costs the new
+   suffix's bytes, not the whole file. *)
+let test_ship_reads_only_suffix () =
+  with_dirs (fun pdir rdir ->
+      let rig = make_rig pdir rdir in
+      for i = 1 to 30 do
+        churn_round rig.g_db rig.g_base i
+      done;
+      ignore (R.Session.drain rig.g_session);
+      let log_bytes () = String.length (read_file (Db.wal_file pdir (Db.generation rig.g_db))) in
+      let prefix = log_bytes () in
+      check "a large prefix shipped" true (prefix > 4096);
+      check_int "prefix fully shipped" 0 (R.Primary.lag rig.g_primary);
+      let read0 = R.Primary.log_bytes_read rig.g_primary in
+      churn_round rig.g_db rig.g_base 31;
+      ignore (R.Session.drain rig.g_session);
+      let suffix = log_bytes () - prefix in
+      check "the round logged something" true (suffix > 0);
+      check_int "the next ship read only the new suffix" suffix
+        (R.Primary.log_bytes_read rig.g_primary - read0);
+      check_int "suffix shipped" 0 (R.Replica.lag_bytes rig.g_replica);
+      assert_equivalent "after the suffix ship" rig.g_db rig.g_replica;
+      close_rig rig)
+
 let test_scanner_incremental_equals_scan () =
   with_dirs (fun pdir _ ->
       let db, b = make_primary pdir in
@@ -745,6 +770,7 @@ let suite =
         `Quick,
         test_digest_cadence_catches_asr_divergence );
       ("bounded-staleness read gating", `Quick, test_lag_gated_reads);
+      ("a ship reads only the unshipped log suffix", `Quick, test_ship_reads_only_suffix);
       ("replica resumes from its files", `Quick, test_resume_catch_up);
       ("promote refuses a non-replica", `Quick, test_promote_refuses_non_replica);
       ( "mid-churn kill promotes to the committed prefix",

@@ -163,70 +163,70 @@ module B = Storage.Buffer
 
 let test_buffer_clock_second_chance () =
   let b = B.create ~policy:B.Clock ~capacity:3 () in
-  ignore (B.reference b ("s", 1));
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 3));
+  ignore (B.reference b 1);
+  ignore (B.reference b 2);
+  ignore (B.reference b 3);
   (* Admitting 4 sweeps the whole ring (clearing every ref bit) and
      evicts 1, the frame under the hand. *)
-  (match B.reference b ("s", 4) with
+  (match B.reference b 4 with
   | B.Miss { evicted = true } -> ()
   | _ -> Alcotest.fail "expected an evicting miss");
-  check "hand victim gone" false (B.mem b ("s", 1));
+  check "hand victim gone" false (B.mem b 1);
   (* Re-reference 2: its bit is set again, so the next eviction must
      give it a second chance and take 3 — even though 3 is behind 2 in
      hand order. *)
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 5));
-  check "second-chanced page survives" true (B.mem b ("s", 2));
-  check "unreferenced page evicted" false (B.mem b ("s", 3));
-  check "fresh admission resident" true (B.mem b ("s", 4))
+  ignore (B.reference b 2);
+  ignore (B.reference b 5);
+  check "second-chanced page survives" true (B.mem b 2);
+  check "unreferenced page evicted" false (B.mem b 3);
+  check "fresh admission resident" true (B.mem b 4)
 
 let test_buffer_pin_nesting () =
   let b = B.create ~capacity:2 () in
-  ignore (B.reference b ("s", 1));
-  B.pin b ("s", 1);
-  B.pin b ("s", 1) (* nested *);
-  ignore (B.reference b ("s", 2));
-  ignore (B.reference b ("s", 3)) (* must evict 2, never pinned 1 *);
-  check "pinned frame survives eviction" true (B.mem b ("s", 1));
-  B.unpin b ("s", 1) (* one pin remains *);
-  ignore (B.reference b ("s", 4));
-  check "still pinned after one unpin" true (B.mem b ("s", 1));
-  B.unpin b ("s", 1);
-  ignore (B.reference b ("s", 5));
-  ignore (B.reference b ("s", 6));
-  check "fully unpinned frame evictable" false (B.mem b ("s", 1));
-  B.unpin b ("s", 99) (* unknown frame: no-op *)
+  ignore (B.reference b 1);
+  B.pin b 1;
+  B.pin b 1 (* nested *);
+  ignore (B.reference b 2);
+  ignore (B.reference b 3) (* must evict 2, never pinned 1 *);
+  check "pinned frame survives eviction" true (B.mem b 1);
+  B.unpin b 1 (* one pin remains *);
+  ignore (B.reference b 4);
+  check "still pinned after one unpin" true (B.mem b 1);
+  B.unpin b 1;
+  ignore (B.reference b 5);
+  ignore (B.reference b 6);
+  check "fully unpinned frame evictable" false (B.mem b 1);
+  B.unpin b 99 (* unknown frame: no-op *)
 
 let test_buffer_all_pinned_overflows () =
   let b = B.create ~capacity:1 () in
-  ignore (B.reference b ("s", 1));
-  B.pin b ("s", 1);
-  (match B.reference b ("s", 2) with
+  ignore (B.reference b 1);
+  B.pin b 1;
+  (match B.reference b 2 with
   | B.Miss { evicted = false } -> ()
   | _ -> Alcotest.fail "expected a non-evicting overflow miss");
-  check "overflow admitted" true (B.mem b ("s", 2));
+  check "overflow admitted" true (B.mem b 2);
   check_int "transient overflow" 2 (B.resident b)
 
 let test_buffer_prefetch_outcomes () =
   let b = B.create ~capacity:4 () in
-  (match B.prefetch b ("s", 1) with
+  (match B.prefetch b 1 with
   | `Admitted false -> ()
   | _ -> Alcotest.fail "expected speculative admission");
-  (match B.reference b ("s", 1) with
+  (match B.reference b 1 with
   | B.Prefetch_hit -> ()
   | _ -> Alcotest.fail "first demand read should be a prefetch hit");
-  (match B.reference b ("s", 1) with
+  (match B.reference b 1 with
   | B.Hit -> ()
   | _ -> Alcotest.fail "later reads are plain hits");
-  (match B.prefetch b ("s", 1) with
+  (match B.prefetch b 1 with
   | `Resident -> ()
   | _ -> Alcotest.fail "prefetching a resident page is a no-op")
 
 let test_buffer_segment_namespacing () =
   let b = B.create ~capacity:4 () in
-  ignore (B.reference b ("heap", 1));
-  (match B.reference b ("asr0", 1) with
+  ignore (B.reference b (B.key ~segment:0 1));
+  (match B.reference b (B.key ~segment:1 1) with
   | B.Miss _ -> ()
   | _ -> Alcotest.fail "page 1 of another segment must be a distinct frame");
   check_int "two frames" 2 (B.resident b)
@@ -249,25 +249,26 @@ let test_stats_prefetch_accounting () =
 
 let test_stats_segment_hit_ratio () =
   let st = S.create ~buffer_capacity:8 () in
+  let heap = S.segment "heap" and asr0 = S.segment "asr0" in
   (* Page 1 of the heap and page 1 of a tree pager are different pages:
      the pool must key frames by (segment, page).  Separate operations,
      because within-op distinct-page suppression is by raw identifier
      (preserving the unbuffered op_reads semantics). *)
   S.begin_op st;
-  S.in_segment st "heap" (fun () -> S.read st 1);
+  S.in_segment st heap (fun () -> S.read st 1);
   S.begin_op st;
-  S.in_segment st "asr0" (fun () -> S.read st 1);
+  S.in_segment st asr0 (fun () -> S.read st 1);
   check_int "colliding ids in distinct segments both miss" 2 (S.buffer_misses st);
   S.begin_op st;
-  S.in_segment st "heap" (fun () -> S.read st 1);
-  (match S.segment_hit_ratio st "heap" with
+  S.in_segment st heap (fun () -> S.read st 1);
+  (match S.segment_hit_ratio st heap with
   | Some r -> check "heap warmed to 1/2" true (abs_float (r -. 0.5) < 1e-9)
   | None -> Alcotest.fail "heap segment has traffic");
-  (match S.segment_hit_ratio st "asr0" with
+  (match S.segment_hit_ratio st asr0 with
   | Some r -> check "asr0 still cold" true (r < 1e-9)
   | None -> Alcotest.fail "asr0 segment has traffic");
   check "untouched segment has no ratio" true
-    (S.segment_hit_ratio st "asr99" = None)
+    (S.segment_hit_ratio st (S.segment "asr99") = None)
 
 (* --- Reclustering --- *)
 
@@ -440,6 +441,274 @@ let test_summary_json_golden () =
     {|{"op_reads": 1, "op_writes": 2, "total_reads": 5, "total_writes": 3, "total_accesses": 8, "logical_reads": 5, "logical_writes": 3, "buffer_hits": 1, "buffer_misses": 3, "buffer_evictions": 6, "prefetched": 2, "prefetch_hits": 1, "buffer_hit_ratio": 0.2000, "buffer_capacity": 2, "scrubs": 1, "fallbacks": 2, "retries": 3, "deltas_buffered": 4, "deltas_merged": 5, "deltas_annihilated": 6, "deltas_flushed": 7, "catchup_flushes": 8, "freshness_degradations": 9, "shed": 10, "timed_out": 11, "breaker_open": 12, "stale_epoch_served": 13, "frames_shipped": 14, "frames_applied": 15, "frames_dropped": 16, "frames_retried": 17, "shard_grouped": 18, "shard_scatter": 19, "mode": "x"}|}
     (S.summary_to_json ~extra:[ ("mode", {|"x"|}) ] (S.snapshot st))
 
+(* --- Buffer model equivalence --- *)
+
+(* The pool as it was before the slot arrays: a hash table of frames,
+   an O(capacity) scan for the minimum stamp under LRU and a queue of
+   keys as the clock ring.  The slot-array pool must agree with it on
+   every outcome, on [mem] and on [resident] after every step. *)
+module Model = struct
+  type frame = {
+    mutable stamp : int;
+    mutable refbit : bool;
+    mutable pins : int;
+    mutable prefetched : bool;
+  }
+
+  type t = {
+    capacity : int;
+    pol : B.policy;
+    frames : (int, frame) Hashtbl.t;
+    ring : int Queue.t;
+    mutable clock : int;
+  }
+
+  let create pol capacity =
+    { capacity; pol; frames = Hashtbl.create 16; ring = Queue.create (); clock = 0 }
+
+  let touch t f =
+    t.clock <- t.clock + 1;
+    f.stamp <- t.clock;
+    f.refbit <- true
+
+  let evict_lru t =
+    let victim = ref None in
+    Hashtbl.iter
+      (fun k f ->
+        if f.pins = 0 then
+          match !victim with
+          | Some (_, s) when s <= f.stamp -> ()
+          | _ -> victim := Some (k, f.stamp))
+      t.frames;
+    match !victim with
+    | Some (k, _) ->
+      Hashtbl.remove t.frames k;
+      true
+    | None -> false
+
+  let evict_clock t =
+    let budget = ref (2 * (Queue.length t.ring + 1)) in
+    let victim = ref None in
+    while !victim = None && !budget > 0 && not (Queue.is_empty t.ring) do
+      decr budget;
+      let k = Queue.pop t.ring in
+      match Hashtbl.find_opt t.frames k with
+      | None -> ()
+      | Some f ->
+        if f.pins > 0 then Queue.push k t.ring
+        else if f.refbit then begin
+          f.refbit <- false;
+          Queue.push k t.ring
+        end
+        else begin
+          Hashtbl.remove t.frames k;
+          victim := Some k
+        end
+    done;
+    !victim <> None
+
+  let add t k ~prefetched =
+    let f = { stamp = 0; refbit = false; pins = 0; prefetched } in
+    touch t f;
+    Hashtbl.replace t.frames k f;
+    if t.pol = B.Clock then Queue.push k t.ring;
+    f
+
+  let admit t k ~prefetched =
+    let evicted =
+      Hashtbl.length t.frames >= t.capacity
+      && match t.pol with B.Lru -> evict_lru t | B.Clock -> evict_clock t
+    in
+    ignore (add t k ~prefetched);
+    evicted
+
+  let reference t k =
+    match Hashtbl.find_opt t.frames k with
+    | Some f ->
+      touch t f;
+      if f.prefetched then begin
+        f.prefetched <- false;
+        B.Prefetch_hit
+      end
+      else B.Hit
+    | None -> B.Miss { evicted = admit t k ~prefetched:false }
+
+  let prefetch t k =
+    match Hashtbl.find_opt t.frames k with
+    | Some f ->
+      touch t f;
+      `Resident
+    | None -> `Admitted (admit t k ~prefetched:true)
+
+  let pin t k =
+    let f =
+      match Hashtbl.find_opt t.frames k with
+      | Some f -> f
+      | None -> add t k ~prefetched:false
+    in
+    f.pins <- f.pins + 1
+
+  let unpin t k =
+    match Hashtbl.find_opt t.frames k with
+    | Some f when f.pins > 0 -> f.pins <- f.pins - 1
+    | Some _ | None -> ()
+
+  let reset t =
+    Hashtbl.reset t.frames;
+    Queue.clear t.ring;
+    t.clock <- 0
+end
+
+type pool_op = Reference of int | Prefetch of int | Pin of int | Unpin of int | Reset
+
+let pool_op_to_string = function
+  | Reference k -> Printf.sprintf "ref %d" k
+  | Prefetch k -> Printf.sprintf "prefetch %d" k
+  | Pin k -> Printf.sprintf "pin %d" k
+  | Unpin k -> Printf.sprintf "unpin %d" k
+  | Reset -> "reset"
+
+(* A stream over capacities {1, 2, 3, 8, 64}, both policies and keys
+   drawn from about twice the capacity.  Pin-heavy streams start by
+   pinning more distinct pages than there are frames, so every frame is
+   pinned and the pool overflows (growing the slot arrays). *)
+let pool_stream_gen =
+  let open QCheck.Gen in
+  let* capacity = oneofl [ 1; 2; 3; 8; 64 ] in
+  let* policy = oneofl [ B.Lru; B.Clock ] in
+  let* pin_heavy = bool in
+  let keys = (2 * capacity) + 2 in
+  let key = int_bound (keys - 1) in
+  let pin_w = if pin_heavy then 4 else 1 in
+  let op =
+    frequency
+      [
+        (8, map (fun k -> Reference k) key);
+        (3, map (fun k -> Prefetch k) key);
+        (pin_w, map (fun k -> Pin k) key);
+        (2, map (fun k -> Unpin k) key);
+        (1, return Reset);
+      ]
+  in
+  let* n = int_range 0 300 in
+  let* ops = list_repeat n op in
+  let saturate = if pin_heavy then List.init (capacity + 3) (fun k -> Pin k) else [] in
+  return (capacity, policy, keys, saturate @ ops)
+
+let prop_buffer_matches_model =
+  QCheck.Test.make
+    ~count:(Test_maintenance_batch.iters_env "ASR_MAINT_COUNT" 200)
+    ~name:"Buffer = minimum-stamp LRU / queue clock model"
+    (QCheck.make pool_stream_gen ~print:(fun (capacity, policy, _, ops) ->
+         Printf.sprintf "capacity %d, %s: %s" capacity
+           (match policy with B.Lru -> "lru" | B.Clock -> "clock")
+           (String.concat "; " (List.map pool_op_to_string ops))))
+    (fun (capacity, policy, keys, ops) ->
+      let b = B.create ~policy ~capacity () and m = Model.create policy capacity in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Reference k -> B.reference b k = Model.reference m k
+            | Prefetch k -> B.prefetch b k = Model.prefetch m k
+            | Pin k ->
+              B.pin b k;
+              Model.pin m k;
+              true
+            | Unpin k ->
+              B.unpin b k;
+              Model.unpin m k;
+              true
+            | Reset ->
+              B.reset b;
+              Model.reset m;
+              true
+          in
+          same
+          && B.resident b = Hashtbl.length m.Model.frames
+          && List.for_all
+               (fun k -> B.mem b k = Hashtbl.mem m.Model.frames k)
+               (List.init keys Fun.id))
+        ops)
+
+let test_stats_reset_in_segment () =
+  let st = S.create ~buffer_capacity:4 () in
+  let seg = S.segment "reset-in-segment" in
+  S.in_segment st seg (fun () ->
+      S.begin_op st;
+      S.read st 1;
+      S.reset st;
+      (* The pool is empty again: one miss, then one hit. *)
+      S.begin_op st;
+      S.read st 1;
+      S.begin_op st;
+      S.read st 1);
+  match S.segment_hit_ratio st seg with
+  | Some r -> check "tally restarted at reset" true (abs_float (r -. 0.5) < 1e-9)
+  | None -> Alcotest.fail "the active segment lost its tally at reset"
+
+(* --- Allocation --- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_resident_read_allocates_nothing () =
+  let st = S.create ~buffer_capacity:8 () in
+  S.begin_op st;
+  S.read st 1;
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          S.begin_op st;
+          S.read st 1
+        done)
+  in
+  check_int "buffer hits" 1000 (S.buffer_hits st);
+  check "1000 buffered reads of a resident page allocate nothing" true (words = 0.)
+
+let test_unbuffered_heap_read_allocates_nothing () =
+  let store, heap = heap_setup () in
+  let o = Gom.Store.new_object store "Big" in
+  let st = S.create () in
+  (* The first read registers the heap segment's tally. *)
+  H.read_object heap st o;
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          S.begin_op st;
+          H.read_object heap st o
+        done)
+  in
+  check_int "every read charged" 1001 (S.total_reads st);
+  check "1000 unbuffered object reads allocate nothing" true (words = 0.)
+
+(* Words for 1000 reads of fresh pages into a full pool, each an
+   evicting miss. *)
+let evicting_miss_words capacity =
+  let st = S.create ~buffer_capacity:capacity () in
+  for page = 0 to capacity - 1 do
+    S.begin_op st;
+    S.read st page
+  done;
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 999 do
+          S.begin_op st;
+          S.read st (capacity + i)
+        done)
+  in
+  check_int "every read evicted" 1000 (S.buffer_evictions st);
+  words
+
+let test_eviction_cost_flat () =
+  let small = evicting_miss_words 16 and large = evicting_miss_words 4096 in
+  check
+    (Printf.sprintf "evicting misses allocate the same at 16 and 4096 frames (%.0f vs %.0f words)"
+       small large)
+    true (small = large)
+
 let suite =
   [
     Alcotest.test_case "config" `Quick test_config;
@@ -462,6 +731,13 @@ let suite =
     Alcotest.test_case "buffer segment namespacing" `Quick test_buffer_segment_namespacing;
     Alcotest.test_case "stats prefetch accounting" `Quick test_stats_prefetch_accounting;
     Alcotest.test_case "stats segment hit ratio" `Quick test_stats_segment_hit_ratio;
+    Alcotest.test_case "stats reset inside a segment" `Quick test_stats_reset_in_segment;
+    Qc.to_alcotest prop_buffer_matches_model;
+    Alcotest.test_case "resident read allocates nothing" `Quick
+      test_resident_read_allocates_nothing;
+    Alcotest.test_case "unbuffered heap read allocates nothing" `Quick
+      test_unbuffered_heap_read_allocates_nothing;
+    Alcotest.test_case "evicting miss cost flat in capacity" `Quick test_eviction_cost_flat;
     Alcotest.test_case "stats summary JSON golden" `Quick test_summary_json_golden;
     Alcotest.test_case "recluster moves and occupancy" `Quick
       test_recluster_moves_and_occupancy;
