@@ -91,9 +91,8 @@ let partition_index_of_column t col =
   if !found < 0 then invalid_arg "Asr.partition_index_of_column: out of range";
   !found
 
-let cols (lo, hi) = List.init (hi - lo + 1) (fun k -> lo + k)
-
-let project_tuple tup (lo, hi) = Relation.Tuple.project tup (cols (lo, hi))
+(* A partition is a contiguous column span. *)
+let project_tuple tup (lo, hi) = Array.sub tup lo (hi - lo + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Section 5.4: sharing of access support relation partitions          *)
@@ -251,16 +250,23 @@ let acquire_trees t ~version =
 
 let release_trees t = Atomic.decr t.gate.readers
 
+let reopen t =
+  Atomic.incr t.gate.version;
+  Atomic.set t.gate.closed false
+
 let with_sealed t f =
   Atomic.set t.gate.closed true;
   while Atomic.get t.gate.readers > 0 do
     Domain.cpu_relax ()
   done;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.incr t.gate.version;
-      Atomic.set t.gate.closed false)
-    f
+  match f () with
+  | v ->
+    reopen t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    reopen t;
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Deferred maintenance: write-behind delta buffers                    *)

@@ -102,7 +102,6 @@ let classify ~part missing phantom =
 let audit_partition ?stats index truth ~part ~sample =
   (match stats with Some st -> Storage.Stats.note st Scrub | None -> ());
   let lo, hi = Core.Asr.partition_bounds index part in
-  let cols = List.init (hi - lo + 1) (fun k -> lo + k) in
   let shared = Core.Asr.partition_shared index part in
   (* Expected multiset of projections, keyed by printed form. *)
   let want : (string, int * Relation.Tuple.t) Hashtbl.t = Hashtbl.create 64 in
@@ -110,7 +109,7 @@ let audit_partition ?stats index truth ~part ~sample =
     (fun tup ->
       if sample = None || Option.fold ~none:true ~some:(fun k -> in_sample k tup) sample
       then begin
-        let proj = Relation.Tuple.project tup cols in
+        let proj = Array.sub tup lo (hi - lo + 1) in
         let key = Relation.Tuple.to_string proj in
         let n = match Hashtbl.find_opt want key with Some (n, _) -> n | None -> 0 in
         Hashtbl.replace want key (n + 1, proj)

@@ -16,7 +16,17 @@
 
     Duplicate tuples are reference-counted: a decomposition partition is
     the {e projection} of the extension, so the same projected tuple can
-    be contributed by several extension tuples (Definition 3.8). *)
+    be contributed by several extension tuples (Definition 3.8).
+
+    Nodes are arrays: a leaf is a preallocated array of [capacity + 1]
+    entries and a count, an inner node a separator array and a child
+    array.  Descents, leaf positions and the start of every key run are
+    binary searches, and {!insert}, {!remove} and {!apply_many} edit the
+    arrays {e in place}; vacated slots are reset to a shared dummy, so a
+    removed tuple is not retained.  A tree is therefore not safe to read
+    while it is being mutated: concurrent readers rely on
+    [Core.Asr]'s epoch gate, under which every mutation of a relation's
+    trees runs sealed. *)
 
 type t
 
@@ -67,8 +77,9 @@ val apply_many : ?stats:Stats.t -> t -> (tuple * int) list -> unit
     deltas in one shared-descent pass — the write-side sibling of
     {!lookup_many}.  Deltas are sorted by (clustering key, tuple) and
     coalesced (zero nets are discarded), then applied left to right
-    riding the leaf chain, so consecutive deltas landing on the same
-    leaf charge its page once per operation.  A positive delta on an
+    after one charged descent, each on the leaf its separators route it
+    to (the leaf {!insert} would reach), so consecutive deltas landing
+    on the same leaf charge its page once per operation.  A positive delta on an
     absent tuple creates the entry with that count; a negative delta on
     an absent tuple is ignored (matching {!remove} of an unknown tuple);
     an entry whose count reaches zero disappears.  Emptied leaves are
@@ -103,4 +114,6 @@ val tuple_bytes : t -> int
 
 val check_invariants : t -> (unit, string) result
 (** Structural check used by the test suite: ordering within and across
-    leaves, capacity bounds, separator consistency, leaf chaining. *)
+    leaves, capacity bounds, separator consistency, leaf chaining (every
+    [prev] link mirrors a [next], the first leaf has none), and that
+    every slot past a node's count holds the shared dummy. *)
